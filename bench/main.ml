@@ -1093,8 +1093,10 @@ let write_robust_json path (r : robust_bench) =
    the lock layer), under round-robin and random schedules.  Reported
    ops/sec is end-to-end interpreter throughput — what certification
    itself pays per replayed schedule — so the thread axis shows how the
-   per-op cost grows with the log (replay functions are O(|log|)), not
-   hardware parallelism: the game interpreter is sequential by design. *)
+   per-op cost grows with contention (blocked attempts on the shared meta
+   lock), not hardware parallelism: the game interpreter is sequential by
+   design.  Replay is incremental within a game (DESIGN.md S32), so the
+   log's length no longer enters the per-op cost. *)
 
 type kv_run = {
   kv_threads : int;
@@ -1167,9 +1169,9 @@ let print_kv_bench mixes =
         m.kv_runs)
     mixes;
   Format.printf
-    "@.  shape: ops/sec falls as threads grow — the log lengthens and every \
-     replayed@.  primitive rescans it (the Sec. 7 replay-cost story at the \
-     service level)@."
+    "@.  shape: each primitive folds only the events appended since its \
+     last call;@.  ops/sec falls with threads mostly through blocked \
+     attempts on the shared locks@."
 
 let write_kv_json path mixes =
   let oc = open_out path in

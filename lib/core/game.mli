@@ -97,17 +97,16 @@ type outcome = {
       (** moves after which the guarantee failed (empty when not checked) *)
 }
 
-val run : config -> outcome
+(** {1 Playing a game}
 
-(** {1 Allocation-light replay}
-
-    The parallel checkers replay on the order of 10⁵ schedules per
-    verdict; {!run}'s per-move list rebuilds and per-schedule slot
-    reconstruction made the minor GC — a stop-the-world rendezvous across
-    every domain on OCaml 5 — the bottleneck of the whole pool
-    (DESIGN.md S24).  {!replay_into} plays the identical game over a
-    reusable scratch, and is pinned bit-identical to {!run} by the
-    equivalence properties in test/test_parallel.ml. *)
+    The checkers replay on the order of 10⁵ schedules per verdict, so a
+    game keeps its thread table in a reusable scratch (DESIGN.md S24) and
+    owns a replay memo for its whole play ({!Replay.with_memo}): each
+    shared-primitive call folds only the events appended since the
+    previous call of the same replay function.  The memo is dropped when
+    the game returns.  {!Replay.from_scratch} plays the same game with
+    whole-log replay, and the properties in test/test_parallel.ml pin the
+    two bit-identical. *)
 
 type scratch
 (** Reusable per-domain working state: the thread table as parallel
@@ -117,11 +116,14 @@ type scratch
 val make_scratch : unit -> scratch
 
 val replay_into : scratch -> config -> outcome
-(** [replay_into s cfg] = [run cfg], reusing [s]'s storage. *)
+(** [replay_into s cfg] plays [cfg]'s game, reusing [s]'s storage. *)
 
 val replay : config -> outcome
-(** Like {!run}, borrowing a scratch from a lock-free freelist — the
-    entry point the checkers use for their per-schedule bodies. *)
+(** {!replay_into} over a scratch borrowed from a lock-free freelist —
+    the entry point the checkers use for their per-schedule bodies. *)
+
+val run : config -> outcome
+(** [run] is {!replay}. *)
 
 val behaviors :
   ?max_steps:int ->

@@ -16,31 +16,33 @@ let apply_crit dc crit =
   match dc with Layer.Enter -> true | Layer.Exit -> false | Layer.Keep -> crit
 
 (* Execute silent steps then at most one shared call; returns the move
-   result together with the number of silent steps taken. *)
+   result together with the number of silent steps taken.  A top-level
+   loop rather than a local closure: it runs once per attempted move. *)
+let rec silent_steps layer tid log prog abs crit fuel silent =
+  if fuel <= 0 then Stuck (Layer.Invalid_transition, Prog.steps_bound_exceeded), silent
+  else
+    match prog with
+    | Prog.Ret v -> Finished (v, abs), silent
+    | Prog.Call c -> (
+      match Layer.find_prim c.prim layer with
+      | None ->
+        Stuck (Layer.Invalid_transition,
+               "unknown primitive " ^ c.prim ^ " in layer " ^ layer.Layer.name), silent
+      | Some (Layer.Private sem) -> (
+        match sem tid c.args abs with
+        | Ok (abs', v) ->
+          silent_steps layer tid log (c.k v) abs' crit (fuel - 1) (silent + 1)
+        | Error msg -> Stuck (Layer.Invalid_transition, c.prim ^ ": " ^ msg), silent)
+      | Some (Layer.Shared sem) -> (
+        match sem tid c.args log with
+        | Layer.Step { events; ret; crit = dc } ->
+          Moved (events, { prog = c.k ret; abs; crit = apply_crit dc crit }), silent
+        | Layer.Block -> Blocked_at ({ prog; abs; crit }, c.prim), silent
+        | Layer.Stuck msg -> Stuck (Layer.Invalid_transition, c.prim ^ ": " ^ msg), silent
+        | Layer.Race msg -> Stuck (Layer.Data_race, c.prim ^ ": " ^ msg), silent))
+
 let step_move_counted ?(private_fuel = 100_000) layer tid st log =
-  let rec go prog abs crit fuel silent =
-    if fuel <= 0 then Stuck (Layer.Invalid_transition, Prog.steps_bound_exceeded), silent
-    else
-      match prog with
-      | Prog.Ret v -> Finished (v, abs), silent
-      | Prog.Call c -> (
-        match Layer.find_prim c.prim layer with
-        | None ->
-          Stuck (Layer.Invalid_transition,
-                 "unknown primitive " ^ c.prim ^ " in layer " ^ layer.Layer.name), silent
-        | Some (Layer.Private sem) -> (
-          match sem tid c.args abs with
-          | Ok (abs', v) -> go (c.k v) abs' crit (fuel - 1) (silent + 1)
-          | Error msg -> Stuck (Layer.Invalid_transition, c.prim ^ ": " ^ msg), silent)
-        | Some (Layer.Shared sem) -> (
-          match sem tid c.args log with
-          | Layer.Step { events; ret; crit = dc } ->
-            Moved (events, { prog = c.k ret; abs; crit = apply_crit dc crit }), silent
-          | Layer.Block -> Blocked_at ({ prog; abs; crit }, c.prim), silent
-          | Layer.Stuck msg -> Stuck (Layer.Invalid_transition, c.prim ^ ": " ^ msg), silent
-          | Layer.Race msg -> Stuck (Layer.Data_race, c.prim ^ ": " ^ msg), silent))
-  in
-  go st.prog st.abs st.crit private_fuel 0
+  silent_steps layer tid log st.prog st.abs st.crit private_fuel 0
 
 let step_move ?private_fuel layer tid st log =
   fst (step_move_counted ?private_fuel layer tid st log)
@@ -113,4 +115,5 @@ let run_local ?(max_moves = 10_000) ?(block_retries = 64) ?(check_guar = false)
         in
         loop st' log' own' (moves + 1) silent 0 violation
   in
-  loop (initial layer tid prog) Log.empty [] 0 0 0 None
+  (* a local run is a play: its log only grows, so it owns a memo *)
+  Replay.with_memo (fun () -> loop (initial layer tid prog) Log.empty [] 0 0 0 None)

@@ -23,7 +23,12 @@ let ( let* ) = bind
 
 let seq a b = bind a (fun _ -> b)
 
-let seq_all ps = List.fold_left seq ret_unit ps
+(* Right-nested, so a continuation applied inside [p] rebuilds one bind
+   level, not one per program still pending. *)
+let rec seq_all = function
+  | [] -> ret_unit
+  | [ p ] -> p
+  | p :: rest -> seq p (seq_all rest)
 
 module Module = struct
   module Smap = Map.Make (String)

@@ -131,7 +131,8 @@ let replay_multi ?(max_steps = 200_000) ?(allow_blocked_at_end = false) overlay
     in
     drain_all slots
   in
-  consume Log.empty events 0
+  (* the overlay replay is a play of the overlay game: it owns a memo *)
+  Replay.with_memo (fun () -> consume Log.empty events 0)
 
 (* The per-schedule body of {!check}: one underlay run, translated and
    replayed against the overlay.  Exposed (through {!check_sched}) so the

@@ -12,6 +12,18 @@ let splitmix x =
      is non-negative for every input, including [min_int]. *)
   abs (x lxor (x lsr 16)) land max_int
 
+let rec count_below (x : int) n = function
+  | [] -> n
+  | y :: rest -> count_below x (if y < x then n + 1 else n) rest
+
+(* The element of [all] with exactly [r] smaller elements: the [r]-th
+   smallest of a duplicate-free list, found without sorting (the
+   scheduler runs once per attempted move, and a sorted copy per pick was
+   most of a game's allocation). *)
+let rec nth_smallest r all = function
+  | [] -> None
+  | x :: rest -> if count_below x 0 all = r then Some x else nth_smallest r all rest
+
 let round_robin =
   {
     name = "round-robin";
@@ -19,9 +31,7 @@ let round_robin =
       (fun ~step _ ~runnable ->
         match runnable with
         | [] -> None
-        | _ ->
-          let sorted = List.sort_uniq Stdlib.compare runnable in
-          Some (List.nth sorted (step mod List.length sorted)));
+        | _ -> nth_smallest (step mod List.length runnable) runnable runnable);
   }
 
 let random ~seed =

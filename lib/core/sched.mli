@@ -16,7 +16,9 @@ type t = {
 }
 
 val round_robin : t
-(** Fair: cycles through thread ids in increasing order. *)
+(** Fair: cycles through thread ids in increasing order — at step [s] it
+    picks the [(s mod n)]-th smallest of the [n] runnable ids (runnable
+    lists never repeat an id). *)
 
 val random : seed:int -> t
 (** Deterministic pseudo-random scheduler (splitmix-style hash of

@@ -145,27 +145,16 @@ let step (st : entry) (e : Event.t) : (entry, string) result =
     | _ -> Error "c_wb_done: malformed event"
   else Ok st
 
-(* Chronological, first-error-wins, allocation-light (ref cells over the
-   newest-first spine — the PR 6 replay idiom, cf. [Lock_intf.replay_lock]). *)
-let replay_entry eid log =
-  let st = ref initial_entry in
-  let error = ref None in
-  let step_ev (e : Event.t) =
-    match e.args with
-    | Value.Vint eid' :: _ when eid' = eid && is_cache_tag e.tag -> (
-      match step !st e with
-      | Ok st' -> st := st'
-      | Error msg -> error := Some msg)
-    | _ -> ()
-  in
-  let rec go = function
-    | [] -> ()
-    | e :: older ->
-      go older;
-      if !error = None then step_ev e
-  in
-  go (Log.newest_first log);
-  match !error with Some m -> Error m | None -> Ok !st
+(* One keyed fold over every entry, routed by the entry argument; a stuck
+   entry leaves the others replaying. *)
+let replay_entry : int -> entry Replay.t =
+  Replay.per_object
+    ~obj:(fun (e : Event.t) ->
+      match e.args with
+      | Value.Vint eid :: _ when is_cache_tag e.tag -> Some eid
+      | _ -> None)
+    ~init:initial_entry
+    ~step:(fun _ st e -> step st e)
 
 let disk_lookup p log =
   let rec go = function

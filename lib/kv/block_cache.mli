@@ -38,9 +38,10 @@ type entry = {
 val initial_entry : entry
 val pp_flag : Format.formatter -> flag -> unit
 
-val replay_entry : int -> Log.t -> (entry, string) result
+val replay_entry : int -> entry Replay.t
 (** Replay one entry's state machine from its events (chronological,
-    first-error-wins, via ref cells in the PR 6 idiom). *)
+    first-error-wins); a projection of one keyed fold over all entries
+    ({!Replay.per_object}). *)
 
 val disk_lookup : int -> Log.t -> int
 (** Current backing-store value of a page: newest-first early-exit scan

@@ -246,25 +246,30 @@ let composed_game ~shards ~entries ~threads () =
 (* ---- the YCSB-style workload ---- *)
 
 (* A tiny deterministic LCG per thread; the bench and the CLI must see
-   the same op stream for the same seed, so no [Random] state. *)
+   the same op stream for the same seed, so no [Random] state.  Each op is
+   generated when the thread reaches it, from the LCG state carried by the
+   continuation: the program is an immutable value (replayable from any
+   point, no [ref]) that never holds more than the op it is running. *)
 let ycsb_game ?(seed = 42) ~shards ~threads ~read_pct ~ops ~keyspace () =
   let m = Hashtable.module_ ~shards () in
+  let next s = ((s * 1103515245) + 12345) land 0x3FFFFFFF in
+  (* ops [n..] from LCG state [s]; the thread returns the last op's value *)
+  let rec from n s =
+    let s = next s in
+    let r = s mod 100 in
+    let s = next s in
+    let k = Value.int (s mod keyspace) in
+    let op, s =
+      if r < read_pct then Prog.call Map_spec.get_tag [ k ], s
+      else
+        let s = next s in
+        Prog.call Map_spec.put_tag [ k; Value.int (s mod 1000) ], s
+    in
+    if n = ops then op else Prog.bind op (fun _ -> from (n + 1) s)
+  in
   let thread i =
-    let s = ref (((seed * 31) + (i * 7919)) land 0x3FFFFFFF) in
-    let next () =
-      s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
-      !s
-    in
-    let op () =
-      let r = next () mod 100 in
-      let k = Value.int (next () mod keyspace) in
-      if r < read_pct then Prog.call Map_spec.get_tag [ k ]
-      else Prog.call Map_spec.put_tag [ k; Value.int (next () mod 1000) ]
-    in
-    let rec build n acc =
-      if n = 0 then List.rev acc else build (n - 1) (op () :: acc)
-    in
-    Prog.Module.link m (Prog.seq_all (build ops []))
+    if ops <= 0 then Prog.ret_unit
+    else Prog.Module.link m (from 1 (((seed * 31) + (i * 7919)) land 0x3FFFFFFF))
   in
   ( Hashtable.underlay (),
     List.init threads (fun idx -> idx + 1, thread (idx + 1)) )

@@ -9,8 +9,7 @@ let absent = -1
 
 (* Single-key specialization of {!replay_map}: the newest [put]/[del]
    touching the key decides, so a newest-first scan can stop at the first
-   match — no intermediate map, no allocation (the PR 6 replay idiom, cf.
-   [Lock_intf.replay_lock]). *)
+   match — no intermediate map, no allocation. *)
 let lookup k log =
   let rec go = function
     | [] -> absent

@@ -7,28 +7,21 @@ let aload_tag = "aload"
 let astore_tag = "astore"
 let mfence_tag = "mfence"
 
-(* Specialized single-cell replay: the map-per-call fold this replaces
-   never errors and events
-   on other cells cannot change cell [b], so folding one integer through
-   only the matching events yields the same value as building the whole
-   map — without allocating it.  Every atomic primitive calls this once
-   per move, so the map-free fold is the difference between ~100 KB and a
-   few words of allocation per replayed schedule. *)
-let replay_cell b : int Replay.t =
-  Replay.fold ~init:0 ~step:(fun v (e : Event.t) ->
+(* Every cell's value, routed by the cell argument; events on other cells
+   cannot change cell [b]. *)
+let replay_cell : int -> int Replay.t =
+  Replay.per_object
+    ~obj:(fun (e : Event.t) ->
+      match e.args with Value.Vint b :: _ -> Some b | _ -> None)
+    ~init:0
+    ~step:(fun _ v (e : Event.t) ->
       match e.tag, e.args with
-      | tag, [ Value.Vint b'; Value.Vint d ]
-        when b' = b && String.equal tag faa_tag ->
-        Ok (v + d)
-      | tag, [ Value.Vint b'; Value.Vint x ]
-        when b' = b && String.equal tag xchg_tag ->
-        Ok x
-      | tag, [ Value.Vint b'; Value.Vint expected; Value.Vint x ]
-        when b' = b && String.equal tag cas_tag ->
+      | tag, [ _; Value.Vint d ] when String.equal tag faa_tag -> Ok (v + d)
+      | tag, [ _; Value.Vint x ] when String.equal tag xchg_tag -> Ok x
+      | tag, [ _; Value.Vint expected; Value.Vint x ]
+        when String.equal tag cas_tag ->
         if v = expected then Ok x else Ok v
-      | tag, [ Value.Vint b'; Value.Vint x ]
-        when b' = b && String.equal tag astore_tag ->
-        Ok x
+      | tag, [ _; Value.Vint x ] when String.equal tag astore_tag -> Ok x
       | _ -> Ok v)
 
 (* An atomic operation computes its return value from the replayed state of

@@ -48,29 +48,47 @@ let replay_memory b : int Replay.t =
     (fun m -> Option.value ~default:0 (Imap.find_opt b m))
     (replay_memory_map l)
 
-(* A CPU's store buffer: its buffered stores minus the commits drained
-   from it (FIFO).  Buffered stores are identified by [src]; commits by
-   their cpu argument — their [src] is whoever performed the drain. *)
-let replay_buffer t : (int * int) list Replay.t =
-  Replay.fold ~init:[] ~step:(fun buf (e : Event.t) ->
-      if String.equal e.tag buf_store_tag then
-        if e.src <> t then Ok buf
-        else begin
-          match int2 e.args with
-          | Some bv -> Ok (buf @ [ bv ])
-          | None -> Error "buf_store: bad arguments"
-        end
-      else if String.equal e.tag commit_tag then begin
+(* Every CPU's store buffer at once: its buffered stores minus the
+   commits drained from it (FIFO).  Buffered stores are routed by [src];
+   commits by their cpu argument — their [src] is whoever performed the
+   drain.  Errors are per CPU, except a malformed commit, which cannot be
+   routed and sticks every buffer: it freezes the fold, so a CPU error
+   recorded before it is the older one. *)
+let replay_buffers =
+  Replay.fold ~init:(Imap.empty, None)
+    ~step:(fun ((bufs, frozen) as st) (e : Event.t) ->
+      let route t f =
+        match Imap.find_opt t bufs with
+        | Some (Error _) -> Ok st
+        | found ->
+          let buf = match found with Some (Ok buf) -> buf | _ -> [] in
+          Ok (Imap.add t (f buf) bufs, None)
+      in
+      if frozen <> None then Ok st
+      else if String.equal e.tag buf_store_tag then
+        route e.src (fun buf ->
+            match int2 e.args with
+            | Some bv -> Ok (buf @ [ bv ])
+            | None -> Error "buf_store: bad arguments")
+      else if String.equal e.tag commit_tag then
         match int3 e.args with
+        | None -> Ok (bufs, Some "commit: bad arguments")
         | Some (b, v, cpu) ->
-          if cpu <> t then Ok buf
-          else (
-            match buf with
+          route cpu (function
             | head :: rest when head = (b, v) -> Ok rest
             | _ -> Error "commit does not match the oldest buffered store")
-        | None -> Error "commit: bad arguments"
-      end
-      else Ok buf)
+      else Ok st)
+
+let replay_buffer t : (int * int) list Replay.t =
+ fun l ->
+  match replay_buffers l with
+  | Error _ as e -> e
+  | Ok (bufs, frozen) -> (
+    match Imap.find_opt t bufs, frozen with
+    | Some (Error _ as e), _ -> e
+    | _, Some msg -> Error msg
+    | Some r, None -> r
+    | None, None -> Ok [])
 
 let commit_event ~src t (b, v) =
   Event.make ~args:[ Value.int b; Value.int v; Value.int t ] src commit_tag

@@ -16,25 +16,25 @@ let lock_of_args = function
   | (Value.Vint l : Value.t) :: _ -> Some l
   | _ -> None
 
-let replay_qlock l : Event.tid option Replay.t =
-  Replay.fold ~init:None ~step:(fun holder (e : Event.t) ->
-      match lock_of_args e.args with
-      | Some l' when l' = l ->
-        if String.equal e.tag acq_q_tag then
-          match holder with
-          | None -> Ok (Some e.src)
-          | Some h ->
-            Error
-              (Printf.sprintf
-                 "invalid log: thread %d acquires qlock %d held by %d" e.src l h)
-        else if String.equal e.tag rel_q_tag then
-          match holder with
-          | Some h when h = e.src -> Ok None
-          | _ ->
-            Error
-              (Printf.sprintf "invalid log: thread %d releases qlock %d" e.src l)
-        else Ok holder
-      | Some _ | None -> Ok holder)
+let replay_qlock : int -> Event.tid option Replay.t =
+  Replay.per_object
+    ~obj:(fun (e : Event.t) -> lock_of_args e.args)
+    ~init:None
+    ~step:(fun l holder (e : Event.t) ->
+      if String.equal e.tag acq_q_tag then
+        match holder with
+        | None -> Ok (Some e.src)
+        | Some h ->
+          Error
+            (Printf.sprintf
+               "invalid log: thread %d acquires qlock %d held by %d" e.src l h)
+      else if String.equal e.tag rel_q_tag then
+        match holder with
+        | Some h when h = e.src -> Ok None
+        | _ ->
+          Error
+            (Printf.sprintf "invalid log: thread %d releases qlock %d" e.src l)
+      else Ok holder)
 
 let acq_q_prim =
   ( acq_q_tag,

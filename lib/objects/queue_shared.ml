@@ -48,18 +48,18 @@ let queue_of_args = function
   | (Value.Vint q : Value.t) :: _ -> Some q
   | _ -> None
 
-let replay_queue q : Value.t list Replay.t =
-  Replay.fold ~init:[] ~step:(fun vs (e : Event.t) ->
-      match queue_of_args e.args with
-      | Some q' when q' = q ->
-        if String.equal e.tag enq_tag then
-          match e.args with
-          | [ _; v ] -> Ok (vs @ [ v ])
-          | _ -> Error "enQ_s: bad arguments"
-        else if String.equal e.tag deq_tag then
-          Ok (match vs with [] -> [] | _ :: rest -> rest)
-        else Ok vs
-      | Some _ | None -> Ok vs)
+let replay_queue : int -> Value.t list Replay.t =
+  Replay.per_object
+    ~obj:(fun (e : Event.t) -> queue_of_args e.args)
+    ~init:[]
+    ~step:(fun _ vs (e : Event.t) ->
+      if String.equal e.tag enq_tag then
+        match e.args with
+        | [ _; v ] -> Ok (vs @ [ v ])
+        | _ -> Error "enQ_s: bad arguments"
+      else if String.equal e.tag deq_tag then
+        Ok (match vs with [] -> [] | _ :: rest -> rest)
+      else Ok vs)
 
 let deq_prim =
   Layer.event_prim deq_tag (fun _c args log ->

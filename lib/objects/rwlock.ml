@@ -23,36 +23,36 @@ let lock_of_args = function
 
 (* Internal replay tracks reader identities so that a stray [rel_r] is an
    invalid log, not a silent no-op. *)
-let replay_readers l : (Event.tid list option * Event.tid option) Replay.t =
+let replay_readers : int -> (Event.tid list option * Event.tid option) Replay.t =
   (* (Some readers, None) or (None, Some writer); (Some [], None) = free *)
-  Replay.fold ~init:(Some [], None) ~step:(fun st (e : Event.t) ->
-      match lock_of_args e.args with
-      | Some l' when l' = l -> (
-        match e.tag, st with
-        | tag, (Some readers, None) when String.equal tag acq_r_tag ->
-          Ok (Some (e.src :: readers), None)
-        | tag, (Some readers, None) when String.equal tag rel_r_tag ->
-          (* a thread may hold several read acquisitions; remove one *)
-          let rec remove_one = function
-            | [] -> None
-            | t :: rest ->
-              if t = e.src then Some rest
-              else Option.map (fun r -> t :: r) (remove_one rest)
-          in
-          (match remove_one readers with
-          | Some readers' -> Ok (Some readers', None)
-          | None -> Error (Printf.sprintf "thread %d rel_r without acq_r" e.src))
-        | tag, (Some [], None) when String.equal tag acq_w_tag ->
-          Ok (None, Some e.src)
-        | tag, (None, Some w) when String.equal tag rel_w_tag && w = e.src ->
-          Ok (Some [], None)
-        | tag, _
-          when List.mem tag [ acq_r_tag; rel_r_tag; acq_w_tag; rel_w_tag ] ->
-          Error
-            (Printf.sprintf "invalid rwlock log: %s by %d in the wrong state"
-               tag e.src)
-        | _ -> Ok st)
-      | Some _ | None -> Ok st)
+  Replay.per_object
+    ~obj:(fun (e : Event.t) -> lock_of_args e.args)
+    ~init:(Some [], None)
+    ~step:(fun _ st (e : Event.t) ->
+      match e.tag, st with
+      | tag, (Some readers, None) when String.equal tag acq_r_tag ->
+        Ok (Some (e.src :: readers), None)
+      | tag, (Some readers, None) when String.equal tag rel_r_tag ->
+        (* a thread may hold several read acquisitions; remove one *)
+        let rec remove_one = function
+          | [] -> None
+          | t :: rest ->
+            if t = e.src then Some rest
+            else Option.map (fun r -> t :: r) (remove_one rest)
+        in
+        (match remove_one readers with
+        | Some readers' -> Ok (Some readers', None)
+        | None -> Error (Printf.sprintf "thread %d rel_r without acq_r" e.src))
+      | tag, (Some [], None) when String.equal tag acq_w_tag ->
+        Ok (None, Some e.src)
+      | tag, (None, Some w) when String.equal tag rel_w_tag && w = e.src ->
+        Ok (Some [], None)
+      | tag, _
+        when List.mem tag [ acq_r_tag; rel_r_tag; acq_w_tag; rel_w_tag ] ->
+        Error
+          (Printf.sprintf "invalid rwlock log: %s by %d in the wrong state"
+             tag e.src)
+      | _ -> Ok st)
 
 let replay_rw l : rw_state Replay.t =
  fun log ->

@@ -112,18 +112,22 @@ let is_running placement t log =
     | None -> false
     | Some c -> (get_cpu st c).running = Some t)
 
-let sleepers placement chan log =
-  match replay_sched placement log with
+let sleepers_in replay chan log =
+  match replay log with
   | Error _ -> []
   | Ok st -> get_slpq st chan
+
+let sleepers placement = sleepers_in (replay_sched placement)
 
 (* ------------------------------------------------------------------ *)
 (* The multithreaded layer transformer                                  *)
 (* ------------------------------------------------------------------ *)
 
-let turn_checked placement sem =
+(* The prims below take [replay], the layer's one {!replay_sched} fold,
+   built once per {!mt_layer} so the game's memo serves every call. *)
+let turn_checked placement replay sem =
  fun t args log ->
-  match replay_sched placement log with
+  match replay log with
   | Error msg -> Layer.Stuck msg
   | Ok st -> (
     match cpu_of placement t with
@@ -131,26 +135,26 @@ let turn_checked placement sem =
     | Some c ->
       if (get_cpu st c).running = Some t then sem t args log else Layer.Block)
 
-let yield_prim placement =
+let yield_prim placement replay =
   ( yield_tag,
     Layer.Shared
-      (turn_checked placement (fun t _args _log ->
+      (turn_checked placement replay (fun t _args _log ->
            Layer.Step
              { events = [ Event.make t yield_tag ]; ret = Value.unit; crit = Layer.Keep })) )
 
-let exit_prim placement =
+let exit_prim placement replay =
   ( exit_tag,
     Layer.Shared
-      (turn_checked placement (fun t _args _log ->
+      (turn_checked placement replay (fun t _args _log ->
            Layer.Step
              { events = [ Event.make t exit_tag ]; ret = Value.unit; crit = Layer.Keep })) )
 
 (* sleep(chan, lk, v): one move, two events — release the spinlock
    publishing v, then go to sleep.  Atomicity avoids the lost-wakeup race. *)
-let sleep_prim placement =
+let sleep_prim placement replay =
   ( sleep_tag,
     Layer.Shared
-      (turn_checked placement (fun t args log ->
+      (turn_checked placement replay (fun t args log ->
            match args with
            | [ Value.Vint chan; Value.Vint lk; v ] -> (
              match Lock_intf.replay_lock lk log with
@@ -171,15 +175,15 @@ let sleep_prim placement =
                  (Printf.sprintf "thread %d sleeps without holding lock %d" t lk))
            | _ -> Layer.Stuck "sleep: expected channel, lock and value")) )
 
-let wakeup_prim placement =
+let wakeup_prim placement replay =
   ( wakeup_tag,
     Layer.Shared
-      (turn_checked placement (fun t args log ->
+      (turn_checked placement replay (fun t args log ->
            match chan_of_args args with
            | None -> Layer.Stuck "wakeup: expected a channel"
            | Some chan ->
              let woken =
-               match sleepers placement chan log with
+               match sleepers_in replay chan log with
                | [] -> 0
                | w :: _ -> w
              in
@@ -193,14 +197,14 @@ let wakeup_prim placement =
 
 (* wait(chan): block until no longer sleeping (the waker removed us from
    slpq) and scheduled again; the logged event marks the completion point. *)
-let wait_prim placement =
+let wait_prim placement replay =
   ( wait_tag,
     Layer.Shared
       (fun t args log ->
         match chan_of_args args with
         | None -> Layer.Stuck "wait: expected a channel"
         | Some chan -> (
-          match replay_sched placement log with
+          match replay log with
           | Error msg -> Layer.Stuck msg
           | Ok st ->
             if List.mem t (get_slpq st chan) then Layer.Block
@@ -221,12 +225,13 @@ let get_tid_prim =
   ("get_tid", Layer.Private (fun t _args abs -> Ok (abs, Value.int t)))
 
 let mt_layer placement base =
+  let replay = replay_sched placement in
   let wrapped =
     List.map
       (fun (name, prim) ->
         match prim with
         | Layer.Private _ -> name, prim
-        | Layer.Shared sem -> name, Layer.Shared (turn_checked placement sem))
+        | Layer.Shared sem -> name, Layer.Shared (turn_checked placement replay sem))
       base.Layer.prims
   in
   Layer.make ~rely:base.Layer.rely ~guar:base.Layer.guar
@@ -234,11 +239,11 @@ let mt_layer placement base =
     ("Lmt(" ^ base.Layer.name ^ ")")
     (wrapped
     @ [
-        yield_prim placement;
-        sleep_prim placement;
-        wakeup_prim placement;
-        wait_prim placement;
-        exit_prim placement;
+        yield_prim placement replay;
+        sleep_prim placement replay;
+        wakeup_prim placement replay;
+        wait_prim placement replay;
+        exit_prim placement replay;
         get_tid_prim;
       ])
 
@@ -248,10 +253,11 @@ let mt_layer placement base =
 
 let turn_consistent placement log =
   let events = Log.chronological log in
+  let replay = replay_sched placement in
   let rec go prefix = function
     | [] -> true
     | (e : Event.t) :: rest -> (
-      match replay_sched placement prefix with
+      match replay prefix with
       | Error _ -> false
       | Ok st -> (
         match cpu_of placement e.src with

@@ -17,16 +17,16 @@ let lock_of_args = function
   | (Value.Vint b : Value.t) :: _ -> Some b
   | _ -> None
 
-let replay_ticket b : ticket_state Replay.t =
-  Replay.fold ~init:{ next = 0; serving = 0 } ~step:(fun st (e : Event.t) ->
-      match lock_of_args e.args with
-      | Some b' when b' = b ->
-        if String.equal e.tag fai_tag then
-          Ok { st with next = wrap32 (st.next + 1) }
-        else if String.equal e.tag inc_n_tag then
-          Ok { st with serving = wrap32 (st.serving + 1) }
-        else Ok st
-      | Some _ | None -> Ok st)
+let replay_ticket : int -> ticket_state Replay.t =
+  Replay.per_object
+    ~obj:(fun (e : Event.t) -> lock_of_args e.args)
+    ~init:{ next = 0; serving = 0 }
+    ~step:(fun _ st (e : Event.t) ->
+      if String.equal e.tag fai_tag then
+        Ok { st with next = wrap32 (st.next + 1) }
+      else if String.equal e.tag inc_n_tag then
+        Ok { st with serving = wrap32 (st.serving + 1) }
+      else Ok st)
 
 let ticket_prim tag ret_of =
   Layer.event_prim tag (fun _c args log ->

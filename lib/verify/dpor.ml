@@ -230,7 +230,9 @@ let prefixes_with_prunes_live ?private_fuel ?(independence = Exact)
           | Subtree n' -> go n')
         items
     in
-    go root;
+    (* a DFS classifies every thread at one log and then descends along
+       extensions of it: one memo for the walk serves both *)
+    Replay.with_memo (fun () -> go root);
     List.rev !recorded, !prunes
   in
   let root =
@@ -528,15 +530,16 @@ let optimal_walk_live ?private_fuel ~independence ~reads ~dedup ~sym ~memory
             decisions
         end
   in
-  go
-    {
-      slots = List.map (fun (i, p) -> i, Machine.initial layer i p) threads;
-      log = Log.empty;
-      step = 0;
-      rev_prefix = [];
-      sleep = [];
-    }
-    Iset.empty;
+  Replay.with_memo (fun () ->
+      go
+        {
+          slots = List.map (fun (i, p) -> i, Machine.initial layer i p) threads;
+          log = Log.empty;
+          step = 0;
+          rev_prefix = [];
+          sleep = [];
+        }
+        Iset.empty);
   ( List.rev !recorded,
     {
       Engine.sleep_prunes = !sleep_prunes;

@@ -595,28 +595,41 @@ let verify_all_ctx ~ctx ?(lock = `Ticket) ?(seeds = 4) ?strategy
                          (Prog.call "rel_w" [ vi 4 ]))
                   in
                   let threads = [ 1, reader; 2, reader; 3, writer ] in
+                  (* 3^5 schedules, each burning 200k moves of fuel: more
+                     than any budget the gates set.  Only each game's
+                     status and cost are kept — a fuel-bound log is
+                     megabytes, and the scan may finish hundreds. *)
                   let scheds =
-                    Explore.exhaustive_scheds ~tids:[ 1; 2; 3 ] ~depth:3
+                    Explore.exhaustive_scheds ~tids:[ 1; 2; 3 ] ~depth:5
                   in
-                  let outcomes =
-                    value_or_raise
-                      (Explore.run_all_ctx ~ctx ~max_steps:200_000 layer
-                         threads scheds)
+                  let scan =
+                    Parallel.budgeted_scan ?jobs ~token:ctx.Ctx.token ~cost:snd
+                      ~interrupted:(fun (s, _) -> s = Game.Cancelled)
+                      ~cut:(fun _ -> false)
+                      (fun ~stop sched ->
+                        let o =
+                          Game.replay
+                            (Game.config ~max_steps:200_000 ?stop ~memory layer
+                               threads sched)
+                        in
+                        o.Game.status, o.Game.steps)
+                      scheds
                   in
+                  if scan.Parallel.ran_out then raise Ran_out_of_budget;
                   match
                     List.find_opt
-                      (fun o ->
-                        match o.Game.status with
+                      (fun (s, _) ->
+                        match s with
                         | Game.Stuck _ | Game.Deadlock _ -> true
                         | Game.All_done | Game.Out_of_fuel | Game.Cancelled ->
                           false)
-                      outcomes
+                      scan.Parallel.prefix
                   with
-                  | Some o ->
+                  | Some (s, _) ->
                     Error
                       (Format.asprintf "adversarial rwlock game failed: %a"
-                         Game.pp_status o.Game.status)
-                  | None -> Ok (List.length outcomes))
+                         Game.pp_status s)
+                  | None -> Ok (List.length scan.Parallel.prefix))
             in
             let* n = result in
             Ok

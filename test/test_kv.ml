@@ -450,6 +450,28 @@ let test_ycsb_deterministic () =
   check_bool "different seed, different log" false
     (Log.equal (play 42) (play 43))
 
+(* The allocation guard: an 8-thread x 50-op YCSB game, built and
+   played, stays under 500k minor words.  A game that allocates more than
+   a benchmark's minor heap promotes its live log mid-play, and the peak
+   heap then grows with the promotion rate (OCaml 5 does not compact). *)
+let ycsb_alloc_bound = 500_000
+
+let test_ycsb_allocation_bounded () =
+  List.iter
+    (fun (name, sched) ->
+      let before = Gc.minor_words () in
+      let layer, threads =
+        Kv_stack.ycsb_game ~seed:7 ~shards:4 ~threads:8 ~read_pct:50 ~ops:50
+          ~keyspace:16 ()
+      in
+      let o = Game.run (Game.config ~max_steps:5_000_000 layer threads sched) in
+      let words = int_of_float (Gc.minor_words () -. before) in
+      check_bool (name ^ ": all done") true (o.Game.status = Game.All_done);
+      check_bool
+        (Printf.sprintf "%s: %d minor words <= %d" name words ycsb_alloc_bound)
+        true (words <= ycsb_alloc_bound))
+    [ "round-robin", Sched.round_robin; "random", Sched.random ~seed:11 ]
+
 let suite =
   [
     tc "map spec: solo op sequence" test_map_spec_solo;
@@ -481,4 +503,6 @@ let suite =
       test_fingerprints_stable_and_sensitive;
     tc "kv games: every corpus game completes" test_games_complete;
     tc "ycsb: op streams are seed-deterministic" test_ycsb_deterministic;
+    tc "ycsb: an 8x50 game allocates <= 500k minor words"
+      test_ycsb_allocation_bounded;
   ]

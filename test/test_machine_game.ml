@@ -284,6 +284,49 @@ let prop_counter_linearizable_total =
       Game.successful o
       && Log.count (fun (e : Event.t) -> String.equal e.tag "tick") o.Game.log = 4)
 
+(* [round_robin] picks the (step mod n)-th smallest runnable tid without
+   sorting; on duplicate-free runnable lists (all a game produces) that is
+   the sorted-list pick it replaced. *)
+let prop_round_robin_matches_sorting =
+  qtc "round_robin = sort-then-nth on duplicate-free runnables"
+    QCheck.(pair small_nat (list_of_size Gen.(1 -- 9) (int_range (-4) 12)))
+    (fun (step, tids) ->
+      let runnable =
+        List.fold_left (fun acc t -> if List.mem t acc then acc else t :: acc) [] tids
+      in
+      let sorted = List.sort compare runnable in
+      Sched.round_robin.Sched.pick ~step Log.empty ~runnable
+      = Some (List.nth sorted (step mod List.length sorted)))
+
+(* [seq_all] nests to the right; the left fold it replaced must play the
+   identical game: same log, same thread results. *)
+let prop_seq_all_right_nesting =
+  let op =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun id -> Prog.call "tick" [ vi id ]) (int_range 0 1);
+          map (fun id -> Prog.call "read" [ vi id ]) (int_range 0 1);
+          map (fun n -> Prog.ret (vi n)) small_nat;
+        ])
+  in
+  qtc ~count:100 "seq_all = left-nested seq: same events and results"
+    QCheck.(
+      make
+        Gen.(
+          triple (list_size (0 -- 6) op) (list_size (0 -- 6) op) (int_range 1 1000)))
+    (fun (ops1, ops2, seed) ->
+      let play seq_all =
+        Game.run
+          (Game.config (counter_layer ())
+             [ 1, seq_all ops1; 2, seq_all ops2 ]
+             (Sched.random ~seed))
+      in
+      let left ps = List.fold_left Prog.seq Prog.ret_unit ps in
+      let a = play Prog.seq_all and b = play left in
+      Log.equal a.Game.log b.Game.log && a.Game.results = b.Game.results
+      && a.Game.status = b.Game.status)
+
 let suite =
   [
     tc "prog bind" test_prog_bind;
@@ -313,4 +356,6 @@ let suite =
     prop_splitmix_nonneg;
     prop_game_deterministic;
     prop_counter_linearizable_total;
+    prop_round_robin_matches_sorting;
+    prop_seq_all_right_nesting;
   ]

@@ -24,4 +24,5 @@ let () =
       "kv-layer-stack (S28)", Test_kv.suite;
       "memory-model-litmus (S29)", Test_litmus.suite;
       "crash-safety (S30)", Test_crash.suite;
+      "incremental-replay", Test_replay.suite;
     ]

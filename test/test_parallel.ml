@@ -285,16 +285,21 @@ let test_stack_report_jobs_invariant () =
       | Ok r -> Ok (strip r)
       | Error _ as e -> e)
 
-(* ---- Game.replay_into: the allocation-free replay hot path (S24) ----
+(* ---- Game.replay_into: the replay hot path (S24) ----
 
-   The scratch-reusing replay is the engine under every parallel checker;
-   these properties pin it bit-identical to [Game.run] over random games,
-   schedules, fuel bounds and stop-closure truncation points.  One scratch
-   is shared across every property iteration on purpose: staleness from a
-   previous game (different thread count included — the resize path) must
-   never leak into the next outcome. *)
+   The scratch-reusing, memoizing replay is the engine under every
+   parallel checker; these properties pin it bit-identical to the
+   reference game — a fresh scratch, every replay refolding the whole log
+   ({!Replay.from_scratch}) — over random games, schedules, fuel bounds
+   and stop-closure truncation points.  One scratch is shared across every
+   property iteration on purpose: staleness from a previous game
+   (different thread count included — the resize path) must never leak
+   into the next outcome. *)
 
 let shared_scratch = Game.make_scratch ()
+
+let reference cfg =
+  Replay.from_scratch (fun () -> Game.replay_into (Game.make_scratch ()) cfg)
 
 let replay_game kind n =
   match kind with
@@ -336,30 +341,30 @@ let gen_replay_case =
       (list_of_size Gen.(0 -- 12) (int_range 0 5))
       (int_range 1 40))
 
-let prop_replay_into_equals_run =
-  qtc "Game.replay_into (reused scratch) = Game.run" gen_replay_case
+let prop_replay_into_equals_reference =
+  qtc "Game.replay_into (reused scratch) = from-scratch replay" gen_replay_case
     (fun (kind, n, trace, max_steps) ->
       let mk () = replay_config ~max_steps ~check_guar:true kind n trace in
-      Game.run (mk ()) = Game.replay_into shared_scratch (mk ()))
+      reference (mk ()) = Game.replay_into shared_scratch (mk ()))
 
-let prop_replay_into_truncation_equals_run =
+let prop_replay_into_truncation_equals_reference =
   (* the stop closure trips after a random number of polls: Cancelled
      prefixes — the budgeted scan's per-schedule truncation — must be
      identical too, at every truncation point *)
-  qtc "Game.replay_into = Game.run at every stop-closure truncation"
+  qtc "Game.replay_into = from-scratch replay at every stop-closure truncation"
     QCheck.(pair gen_replay_case (int_range 0 20))
     (fun ((kind, n, trace, max_steps), stop_after) ->
       let mk () =
         replay_config ~stop_after ~max_steps ~check_guar:false kind n trace
       in
-      Game.run (mk ()) = Game.replay_into shared_scratch (mk ()))
+      reference (mk ()) = Game.replay_into shared_scratch (mk ()))
 
-let prop_replay_freelist_equals_run =
+let prop_replay_freelist_equals_reference =
   (* the checkers' entry point: a scratch borrowed from the freelist *)
-  qtc "Game.replay (freelist) = Game.run" gen_replay_case
+  qtc "Game.replay (freelist) = from-scratch replay" gen_replay_case
     (fun (kind, n, trace, max_steps) ->
       let mk () = replay_config ~max_steps ~check_guar:true kind n trace in
-      Game.run (mk ()) = Game.replay (mk ()))
+      reference (mk ()) = Game.replay (mk ()))
 
 let test_replay_into_scratch_resize () =
   (* deterministic staleness probe: grow, shrink, regrow the thread table
@@ -371,7 +376,7 @@ let test_replay_into_scratch_resize () =
       check_bool
         (Printf.sprintf "kind=%d n=%d after resize" kind n)
         true
-        (Game.run (mk ()) = Game.replay_into shared_scratch (mk ())))
+        (reference (mk ()) = Game.replay_into shared_scratch (mk ())))
     [ 1, 4; 0, 1; 2, 3; 1, 1; 0, 4; 2, 1; 1, 3 ]
 
 let test_budgeted_races_exhausted_jobs_invariant () =
@@ -411,9 +416,9 @@ let suite =
     tc "dpor: explore jobs-invariant" test_dpor_explore_jobs_invariant;
     tc "explore: run_all jobs-invariant" test_explore_run_all_jobs_invariant;
     tc "stack: report jobs-invariant" test_stack_report_jobs_invariant;
-    prop_replay_into_equals_run;
-    prop_replay_into_truncation_equals_run;
-    prop_replay_freelist_equals_run;
+    prop_replay_into_equals_reference;
+    prop_replay_into_truncation_equals_reference;
+    prop_replay_freelist_equals_reference;
     tc "replay_into: scratch resize never leaks state"
       test_replay_into_scratch_resize;
     tc "races: Exhausted partial jobs-invariant"
