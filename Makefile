@@ -151,13 +151,14 @@ check-crash: build
 	  echo "check-crash: REGRESSION - unsynced failure not named"; exit 1; }; \
 	echo "check-crash: OK (unsynced variant rejected: $$(echo "$$out" | grep 'crash-refinement failure' | head -1))"
 
-# The optimal-engine gate (DESIGN.md S31).  Three legs:
+# The symmetry-reduction gate (DESIGN.md S31).  Three legs:
 #   1. depth-8 scaling: on the ticket game (4 threads, depth 8, events
-#      independence) the sleep-set engine must exhaust a 150k-step budget
-#      while optimal:8,dedup,sym completes inside it — and the same
+#      independence) the plain sleep-set walk must exhaust a 150k-step
+#      budget while dpor:8,sym completes inside it — and the same
 #      separation on the symmetric kv game at a 1.5k-step budget;
-#   2. engine identity: the whole stack certifies with a byte-identical
-#      canonical report under --strategy dpor:4 and --strategy optimal:4;
+#   2. alias identity: the whole stack certifies with a byte-identical
+#      canonical report under --strategy dpor:4 and its alias
+#      --strategy optimal:4;
 #   3. invariance: the kv-sym verdict lines are byte-identical across
 #      CCAL_JOBS {1,4} and cache cold/warm (only the cache-stats trailer
 #      may differ).
@@ -169,18 +170,18 @@ check-optimal: build
 	echo "$$out" | grep -q "budget exhausted" || { \
 	  echo "check-optimal: REGRESSION - dpor:8 finished ticket 4t depth 8 inside 150k steps (gate vacuous)"; exit 1; }; \
 	out=$$($(CCAL_BIN) explore ticket --threads 4 --depth 8 --mode events \
-	  --strategy optimal:8,dedup,sym --budget-steps 150000 --no-oracle) || exit 1; \
+	  --strategy dpor:8,sym --budget-steps 150000 --no-oracle) || exit 1; \
 	echo "$$out" | grep -q "complete" || { \
-	  echo "check-optimal: REGRESSION - optimal:8,dedup,sym exhausted the ticket 150k-step budget"; exit 1; }; \
+	  echo "check-optimal: REGRESSION - dpor:8,sym exhausted the ticket 150k-step budget"; exit 1; }; \
 	echo "check-optimal: OK (ticket 4t depth 8:$$(echo "$$out" | grep 'schedules:'))"
 	@out=$$($(CCAL_BIN) explore kv-sym --threads 4 --depth 8 --mode events \
 	  --strategy dpor:8 --budget-steps 1500 --no-oracle); \
 	echo "$$out" | grep -q "budget exhausted" || { \
 	  echo "check-optimal: REGRESSION - dpor:8 finished kv-sym 4t depth 8 inside 1.5k steps (gate vacuous)"; exit 1; }; \
 	out=$$($(CCAL_BIN) explore kv-sym --threads 4 --depth 8 --mode events \
-	  --strategy optimal:8,dedup,sym --budget-steps 1500 --no-oracle) || exit 1; \
+	  --strategy dpor:8,sym --budget-steps 1500 --no-oracle) || exit 1; \
 	echo "$$out" | grep -q "complete" || { \
-	  echo "check-optimal: REGRESSION - optimal:8,dedup,sym exhausted the kv-sym 1.5k-step budget"; exit 1; }; \
+	  echo "check-optimal: REGRESSION - dpor:8,sym exhausted the kv-sym 1.5k-step budget"; exit 1; }; \
 	echo "check-optimal: OK (kv-sym 4t depth 8:$$(echo "$$out" | grep 'schedules:'))"
 	@$(CCAL_BIN) stack --strategy dpor:4 --report _build/opt-dpor.txt > /dev/null || exit 1; \
 	$(CCAL_BIN) stack --strategy optimal:4 --report _build/opt-optimal.txt > /dev/null || exit 1; \
@@ -189,10 +190,10 @@ check-optimal: build
 	echo "check-optimal: OK (stack report byte-identical under dpor:4 and optimal:4)"
 	@rm -rf $(OPT_CHECK_DIR); \
 	CCAL_JOBS=1 $(CCAL_BIN) explore kv-sym --threads 4 --depth 8 --mode events \
-	  --strategy optimal:8,dedup,sym --budget-steps 1500 --no-oracle \
+	  --strategy dpor:8,sym --budget-steps 1500 --no-oracle \
 	  --cache-dir $(OPT_CHECK_DIR) > _build/opt-j1-cold.txt || exit 1; \
 	CCAL_JOBS=4 $(CCAL_BIN) explore kv-sym --threads 4 --depth 8 --mode events \
-	  --strategy optimal:8,dedup,sym --budget-steps 1500 --no-oracle \
+	  --strategy dpor:8,sym --budget-steps 1500 --no-oracle \
 	  --cache-dir $(OPT_CHECK_DIR) > _build/opt-j4-warm.txt || exit 1; \
 	grep -v '^cache:' _build/opt-j1-cold.txt > _build/opt-j1-cold.cmp; \
 	grep -v '^cache:' _build/opt-j4-warm.txt > _build/opt-j4-warm.cmp; \

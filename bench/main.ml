@@ -582,24 +582,22 @@ let run_parallel_scaling () =
     (parallel_scaling_games ())
 
 (* ------------------------------------------------------------------ *)
-(* per-engine throughput — the S31 engine registry                      *)
+(* per-engine throughput — the S31 dpor walk, with and without sym      *)
 (* ------------------------------------------------------------------ *)
 
-(* One game, every registered depth-bounded engine: the ticket lock at
-   4 threads, depth 8, events independence — the scaling point of the
-   `make check-optimal` gate.  Sleep-set DPOR replays every surviving
-   prefix; the optimal engine's dedup adds fingerprint overhead for no
-   extra pruning on this corpus (every move emits a src-tagged event, so
-   walk states uniquely encode their trace class), and symmetry reduction
-   collapses the frontier to the orbit representatives. *)
+(* One game, the dpor walk with and without symmetry reduction, each at
+   jobs 1 and 2: the ticket lock at 4 threads, depth 8, events
+   independence — the scaling point of the `make check-optimal` gate.
+   Symmetry reduction collapses the frontier to the orbit
+   representatives; both walks split their frontier over the pool. *)
 
 type engine_run = {
   engine : string;
+  eng_jobs : int;
   eng_ms : float;
   eng_runs : int;
   eng_distinct : int;
   eng_sleep : int;
-  eng_dedup : int;
   eng_sym : int;
   eng_per_sec : float;
 }
@@ -611,8 +609,8 @@ let run_engine_bench () =
     "@.== engines: per-engine throughput on the ticket game (4 threads, \
      depth %d, events independence) ==@.@."
     depth;
-  Format.printf "  %-22s %-10s %-9s %-10s %-8s %-7s %-7s %-12s@." "engine"
-    "ms" "runs" "distinct" "sleep" "dedup" "sym" "runs/sec";
+  Format.printf "  %-14s %-5s %-10s %-9s %-10s %-8s %-7s %-12s@." "engine"
+    "jobs" "ms" "runs" "distinct" "sleep" "sym" "runs/sec";
   let m = Ticket_lock.c_module () in
   let lock_client i =
     Prog.bind (Prog.call "acq" [ vi 0 ]) (fun _ ->
@@ -622,39 +620,37 @@ let run_engine_bench () =
     List.init 4 (fun k -> k + 1, Prog.Module.link m (lock_client (k + 1)))
   in
   let layer = Ticket_lock.l0 () in
-  List.map
+  List.concat_map
     (fun engine ->
-      let r, ms =
-        Ccal_verify.Verify_clock.timed (fun () ->
-            Ccal_verify.Budget.value
-              (Ccal_verify.Dpor.explore_ctx ~ctx:(vctx ())
-                 ~independence:Ccal_verify.Dpor.Commuting_events ~engine
-                 ~depth layer threads))
-      in
-      let s = r.Ccal_verify.Dpor.stats in
-      let run =
-        {
-          engine = E.to_string engine;
-          eng_ms = ms;
-          eng_runs = s.Ccal_verify.Dpor.schedules_run;
-          eng_distinct = s.Ccal_verify.Dpor.distinct_logs;
-          eng_sleep = s.Ccal_verify.Dpor.sleep_set_prunes;
-          eng_dedup = s.Ccal_verify.Dpor.dedup_hits;
-          eng_sym = s.Ccal_verify.Dpor.sym_prunes;
-          eng_per_sec =
-            float_of_int s.Ccal_verify.Dpor.schedules_run /. (ms /. 1000.);
-        }
-      in
-      Format.printf "  %-22s %-10.1f %-9d %-10d %-8d %-7d %-7d %-12.0f@."
-        run.engine run.eng_ms run.eng_runs run.eng_distinct run.eng_sleep
-        run.eng_dedup run.eng_sym run.eng_per_sec;
-      run)
-    [
-      E.dpor ~depth;
-      E.optimal ~depth ();
-      E.optimal ~dedup:true ~depth ();
-      E.optimal ~dedup:true ~sym:true ~depth ();
-    ]
+      List.map
+        (fun jobs ->
+          let r, ms =
+            Ccal_verify.Verify_clock.timed (fun () ->
+                Ccal_verify.Budget.value
+                  (Ccal_verify.Dpor.explore_ctx ~ctx:(vctx ~jobs ())
+                     ~independence:Ccal_verify.Dpor.Commuting_events ~engine
+                     ~depth layer threads))
+          in
+          let s = r.Ccal_verify.Dpor.stats in
+          let run =
+            {
+              engine = E.to_string engine;
+              eng_jobs = jobs;
+              eng_ms = ms;
+              eng_runs = s.Ccal_verify.Dpor.schedules_run;
+              eng_distinct = s.Ccal_verify.Dpor.distinct_logs;
+              eng_sleep = s.Ccal_verify.Dpor.sleep_set_prunes;
+              eng_sym = s.Ccal_verify.Dpor.sym_prunes;
+              eng_per_sec =
+                float_of_int s.Ccal_verify.Dpor.schedules_run /. (ms /. 1000.);
+            }
+          in
+          Format.printf "  %-14s %-5d %-10.1f %-9d %-10d %-8d %-7d %-12.0f@."
+            run.engine run.eng_jobs run.eng_ms run.eng_runs run.eng_distinct
+            run.eng_sleep run.eng_sym run.eng_per_sec;
+          run)
+        [ 1; 2 ])
+    [ E.dpor ~depth; E.dpor_sym ~depth ]
 
 (* Hand-rolled JSON: the container has no JSON library and we may not add
    one; the schema is flat enough for printf. *)
@@ -714,10 +710,11 @@ let write_parallel_json path games engines =
   List.iteri
     (fun ei e ->
       out
-        "      {\"engine\": %S, \"ms\": %.3f, \"schedules_run\": %d, \
-         \"distinct_logs\": %d, \"sleep_prunes\": %d, \"dedup_hits\": %d, \
-         \"sym_prunes\": %d, \"runs_per_sec\": %.1f}%s\n"
-        e.engine e.eng_ms e.eng_runs e.eng_distinct e.eng_sleep e.eng_dedup
+        "      {\"engine\": %S, \"jobs\": %d, \"ms\": %.3f, \
+         \"schedules_run\": %d, \"distinct_logs\": %d, \
+         \"sleep_prunes\": %d, \"sym_prunes\": %d, \
+         \"runs_per_sec\": %.1f}%s\n"
+        e.engine e.eng_jobs e.eng_ms e.eng_runs e.eng_distinct e.eng_sleep
         e.eng_sym e.eng_per_sec
         (if ei = List.length engines - 1 then "" else ","))
     engines;

@@ -72,8 +72,8 @@ let prog ?(budget = 2048) st p =
    occurrence of the thread's own id in the structure the program emits
    (primitive arguments, return values) is replaced by a marker.  Two
    sibling workers whose programs differ only in their own tid then
-   fingerprint identically — the symmetry classes of the optimal
-   explorer's [sym] reduction (DESIGN.md S31).  Probe values fed INTO
+   fingerprint identically — the symmetry classes of the dpor
+   walk's [sym] reduction (DESIGN.md S31).  Probe values fed INTO
    continuations are not blinded: they are ours and identical across
    threads. *)
 let prog_blind ~tid ?(budget = 2048) st p =

@@ -82,7 +82,7 @@ val prog_blind : tid:int -> ?budget:int -> state -> Prog.t -> state
     program {e emits} (call arguments, return values) is replaced by a
     marker before mixing.  Sibling worker programs that differ only in
     their own thread id fingerprint identically — the symmetry-class
-    test of the optimal explorer's [sym] reduction (DESIGN.md S31).
+    test of the dpor walk's [sym] reduction (DESIGN.md S31).
     Probe values fed into continuations are not blinded. *)
 
 val modul : ?budget:int -> state -> Prog.Module.t -> state

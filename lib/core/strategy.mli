@@ -45,100 +45,53 @@ val pp_step_result : Format.formatter -> step_result -> unit
 (** {1 Exploration engines}
 
     How a checker enumerates scheduling prefixes (DESIGN.md S31).  The
-    descriptor is a first-class record — algorithm × depth bound ×
-    optional state-dedup and symmetry-reduction flags — threaded through
-    [Verify.Ctx] so every checker selects engines uniformly; the
-    implementations satisfy {!Engine.IMPL} and register with
-    [Explore.register_engine], so a new engine never touches the
-    checkers. *)
+    descriptor — algorithm × depth bound × the symmetry flag — is
+    threaded through [Verify.Ctx] so every checker selects engines
+    uniformly; [Explore.scheds_of_strategy_ctx] dispatches on [algo]. *)
 
 module Engine : sig
   type algo =
     | Exhaustive  (** all [|tids|^depth] prefixes — the oracle *)
-    | Dpor  (** sleep-set DPOR; frontier-parallel walk — the default *)
-    | Optimal
-        (** sleep-set DPOR with source-style state handling: optional
-            state-fingerprint dedup ([dedup]) and symmetry reduction
-            across identical fresh threads ([sym]); sequential walk *)
+    | Dpor
+        (** sleep-set DPOR, optionally pruning symmetric fresh threads
+            ([sym]); frontier-parallel walk — the default *)
     | Random  (** [depth] seeded random schedulers *)
 
   type t = {
     algo : algo;
     depth : int;  (** depth bound; for [Random], the suite size *)
-    dedup : bool;  (** state-fingerprint dedup — [Optimal] only *)
-    sym : bool;  (** symmetry reduction — [Optimal] only *)
+    sym : bool;  (** symmetry reduction — [Dpor] only *)
   }
 
   val default : t
   (** [dpor ~depth:4] — what the checkers use when nothing is selected. *)
 
-  (** {2 Constructors} — validate the flag combination, raising
-      [Invalid_argument] with the named error on misuse. *)
+  (** {2 Constructors} — raise [Invalid_argument] with the named error
+      on a non-positive depth. *)
 
   val dpor : depth:int -> t
-  val optimal : ?dedup:bool -> ?sym:bool -> depth:int -> unit -> t
+  val dpor_sym : depth:int -> t
   val exhaustive : depth:int -> t
   val random : count:int -> t
 
   val validate : t -> (unit, string) result
-  (** [Error] carries the named rejection (bad flag combination,
-      non-positive depth) the CLI reports verbatim. *)
+  (** [Error] carries the named rejection (flag on an engine that does
+      not take it, non-positive depth) the CLI reports verbatim. *)
 
   val checked : t -> t
   (** Identity on valid descriptors; raises [Invalid_argument] with the
       {!validate} error otherwise. *)
 
-  val algo_name : algo -> string
-
-  val grammar : string
-  (** The accepted [--strategy] grammar, for error messages. *)
-
   val to_string : t -> string
-  (** Canonical descriptor, e.g. ["optimal:8,dedup"].  Cache-identity
+  (** Canonical descriptor, e.g. ["dpor:8,sym"].  Cache-identity
       bearing: it enters the suite cache key and every verdict key built
       from an implicit strategy. *)
 
   val of_string : string -> (t, string) result
-  (** Parse a [--strategy] argument; rejects unknown engines, malformed
-      depths, and invalid flag combinations with a named error — never a
-      silent fallback. *)
-
-  val pp : Format.formatter -> t -> unit
-
-  (** {2 Implementation contract} *)
-
-  type walk_stats = {
-    sleep_prunes : int;  (** branches skipped because asleep *)
-    dedup_hits : int;  (** subtrees pruned at a revisited state *)
-    sym_prunes : int;  (** branches pruned by thread symmetry *)
-  }
-
-  val no_walk_stats : walk_stats
-
-  type suite =
-    | Prefixes of {
-        tag : string;
-            (** scheduler-name prefix, e.g. ["dpor"] — the names are
-                cache-identity-bearing *)
-        prefixes : Event.tid list list;
-        stats : walk_stats;
-      }
-    | Schedulers of Sched.t list  (** opaque suite; never cached *)
-
-  module type IMPL = sig
-    val algo : algo
-
-    val cacheable : bool
-    (** Whether a [Prefixes] suite may be memoized, keyed on the
-        descriptor and the game identity. *)
-
-    val suite :
-      engine:t ->
-      jobs:int ->
-      memory:Memory.t ->
-      ?private_fuel:int ->
-      Layer.t ->
-      (Event.tid * Prog.t) list ->
-      suite
-  end
+  (** Parse a [--strategy] argument
+      ([default | dpor[:D][,sym] | exhaustive[:D] | random[:N]], with
+      [optimal[:D][,sym]] accepted as an alias of [dpor]); rejects
+      unknown engines, malformed depths, invalid combinations and the
+      removed [dedup] flag with a named error — never a silent
+      fallback. *)
 end

@@ -9,6 +9,8 @@ type edge = {
   millis : float;
 }
 
+let edge_kind : edge Cache.kind = Cache.kind "kvedge"
+
 type report = {
   edges : edge list;
   total_checks : int;
@@ -185,14 +187,14 @@ let verify_ctx ~ctx ?(threads = 3) ?(shards = 2) ?(entries = 2) () =
     | Some c -> (
       let key = spec_fingerprint ~strategy:ctx.Ctx.strategy s in
       let found, lookup_ms =
-        Verify_clock.timed (fun () -> Cache.find c ~kind:"kvedge" key)
+        Verify_clock.timed (fun () -> Cache.find c edge_kind key)
       in
       match found with
-      | Some (e : edge) -> `Done { e with millis = lookup_ms }
+      | Some e -> `Done { e with millis = lookup_ms }
       | None -> (
         match run_edge s with
         | `Done e ->
-          Cache.store c ~kind:"kvedge" key e;
+          Cache.store c edge_kind key e;
           `Done e
         | other -> other))
   in

@@ -54,10 +54,24 @@ let create ?dir () =
     stores = Atomic.make 0;
   }
 
+(* A kind names one payload type.  Names are unique per process, so a
+   file prefix can never be read back at two different types. *)
+type 'a kind = string
+
+let kind_names = Hashtbl.create 16
+let kind_names_lock = Mutex.create ()
+
+let kind name =
+  Mutex.protect kind_names_lock (fun () ->
+      if Hashtbl.mem kind_names name then
+        invalid_arg ("Cache.kind: duplicate kind name " ^ name);
+      Hashtbl.add kind_names name ());
+  name
+
 let entry_suffix = Printf.sprintf ".v%d" format_version
 let tmp_prefix = ".tmp-"
 
-let path t ~kind fp =
+let path t kind fp =
   Filename.concat t.dir (kind ^ "-" ^ Fingerprint.to_hex fp ^ entry_suffix)
 
 let read_file path =
@@ -70,8 +84,8 @@ let has_magic s =
   String.length s >= String.length magic
   && String.sub s 0 (String.length magic) = magic
 
-let find t ~kind fp =
-  let file = path t ~kind fp in
+let find t kind fp =
+  let file = path t kind fp in
   match read_file file with
   | exception _ ->
     Atomic.incr t.misses;
@@ -95,12 +109,12 @@ let find t ~kind fp =
         Some v
       | exception _ -> invalidate ())
 
-let invalidate t ~kind fp =
-  (try Sys.remove (path t ~kind fp) with Sys_error _ -> ());
+let invalidate t kind fp =
+  (try Sys.remove (path t kind fp) with Sys_error _ -> ());
   Atomic.incr t.invalidations;
   Probe.incr invalidations_c
 
-let store t ~kind fp v =
+let store t kind fp v =
   match
     let payload = magic ^ Marshal.to_string v [] in
     (* Fault injection (DESIGN.md S27): a corrupted store truncates the
@@ -127,7 +141,7 @@ let store t ~kind fp v =
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () -> output_string oc payload);
-        Sys.rename tmp (path t ~kind fp))
+        Sys.rename tmp (path t kind fp))
   with
   | () -> Atomic.incr t.stores
   | exception (Sys_error _ | Unix.Unix_error _) -> ()

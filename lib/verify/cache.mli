@@ -46,21 +46,29 @@ val create : ?dir:string -> unit -> t
 
 val dir : t -> string
 
-val find : t -> kind:string -> Fingerprint.t -> 'a option
-(** Look up the entry of that kind and key.  [kind] is a short static
-    tag naming the payload type ("edge", "races", "refine", "dpor",
-    "runall") — it is part of the filename, so a fingerprint collision
-    across payload types cannot type-confuse [Marshal].  Absent entries
-    count a miss; present entries count a hit; corrupt entries are
-    deleted, count an invalidation {e and} a miss, and return [None]. *)
+type 'a kind
+(** The payload type of one family of entries, with its name.  Each
+    checker creates its kind once, next to the payload type, so no call
+    site annotates what [Marshal] reads back.  The name is the filename
+    prefix, so a fingerprint collision across kinds cannot type-confuse
+    [Marshal]. *)
 
-val invalidate : t -> kind:string -> Fingerprint.t -> unit
+val kind : string -> 'a kind
+(** [kind name] — call once per payload type, at module initialisation.
+    Raises [Invalid_argument] when [name] is already taken. *)
+
+val find : t -> 'a kind -> Fingerprint.t -> 'a option
+(** Look up the entry of that kind and key.  Absent entries count a
+    miss; present entries count a hit; corrupt entries are deleted,
+    count an invalidation {e and} a miss, and return [None]. *)
+
+val invalidate : t -> 'a kind -> Fingerprint.t -> unit
 (** Drop the entry (if present) and count an invalidation.  Callers use
     this when an entry deserializes but fails an integrity check — e.g.
     a stored report whose recorded log hash no longer matches its
     logs. *)
 
-val store : t -> kind:string -> Fingerprint.t -> 'a -> unit
+val store : t -> 'a kind -> Fingerprint.t -> 'a -> unit
 (** Write the entry atomically (temp file + rename).  Best-effort: an
     unwritable directory drops the write silently — the cache never
     turns a passing verification into a failure. *)

@@ -321,7 +321,7 @@ let edge_key ~ctx ~bound edge scheds =
   let st = Fingerprint.memory st ctx.Ctx.memory in
   Fingerprint.finish st
 
-let cache_kind = "crash"
+let cache_kind : edge_report Cache.kind = Cache.kind "crash"
 
 let check_edge_ctx ~ctx ?(crashes = 4) edge =
   Ctx.arm ctx @@ fun () ->
@@ -337,14 +337,14 @@ let check_edge_ctx ~ctx ?(crashes = 4) edge =
   | Some c -> (
     let key = edge_key ~ctx ~bound:crashes edge scheds in
     let found, lookup_ms =
-      Verify_clock.timed (fun () -> Cache.find c ~kind:cache_kind key)
+      Verify_clock.timed (fun () -> Cache.find c cache_kind key)
     in
     match found with
-    | Some (e : edge_report) -> Budget.Complete (Ok { e with millis = lookup_ms })
+    | Some e -> Budget.Complete (Ok { e with millis = lookup_ms })
     | None -> (
       match live () with
       | Budget.Complete (Ok e) as ok ->
-        Cache.store c ~kind:cache_kind key e;
+        Cache.store c cache_kind key e;
         ok
       (* Failures always reproduce live, and an exhausted prefix is not
          the verdict — neither is stored. *)

@@ -88,8 +88,8 @@ val check_point :
   edge -> Log.t -> keep:int -> tear:int -> (unit, string) result
 (** One recovery check at one crash point of one play prefix. *)
 
-val cache_kind : string
-(** The cache kind of stored edge reports: ["crash"]. *)
+val cache_kind : edge_report Cache.kind
+(** The cache kind of stored edge reports, named ["crash"]. *)
 
 val check_edge_ctx :
   ctx:Ctx.t ->

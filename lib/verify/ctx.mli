@@ -14,7 +14,7 @@
 
 module Engine = Ccal_core.Strategy.Engine
 (** The exploration-engine descriptor (DESIGN.md S31), re-exported so
-    checker callers write [Ctx.Engine.optimal ~dedup:true ~depth:8 ()]
+    checker callers write [Ctx.Engine.dpor_sym ~depth:8]
     without reaching into [Ccal_core]. *)
 
 type t = {

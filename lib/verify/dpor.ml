@@ -8,7 +8,6 @@ type stats = {
   schedules_run : int;
   schedules_pruned : int;
   sleep_set_prunes : int;
-  dedup_hits : int;
   sym_prunes : int;
   distinct_logs : int;
 }
@@ -28,12 +27,13 @@ let default_reads = [ "get_n"; "aload"; "read" ]
 let obj (e : Event.t) =
   match e.args with Value.Vint b :: _ -> Some b | _ -> None
 
-let independent_events ?(reads = default_reads) (e1 : Event.t) (e2 : Event.t) =
+let independent_events (e1 : Event.t) (e2 : Event.t) =
   e1.src <> e2.src
   &&
   match obj e1, obj e2 with
   | Some a, Some b when a <> b -> true
-  | Some _, Some _ -> List.mem e1.tag reads && List.mem e2.tag reads
+  | Some _, Some _ ->
+    List.mem e1.tag default_reads && List.mem e2.tag default_reads
   | _ -> false
 
 (* Canonical representative of a Mazurkiewicz trace: repeatedly emit the
@@ -67,9 +67,9 @@ let canonical_events indep events =
   in
   build [] events
 
-let canonical_log ?reads log =
+let canonical_log log =
   Log.append_all
-    (canonical_events (independent_events ?reads) (Log.chronological log))
+    (canonical_events independent_events (Log.chronological log))
     Log.empty
 
 (* One enabled move of one thread, as classified by the DFS. *)
@@ -78,7 +78,7 @@ type move =
   | Step of Event.t list * Machine.thread_state
   | Halt  (** picking this thread ends the run stuck — a leaf *)
 
-let independent_moves independence reads m1 m2 =
+let independent_moves independence m1 m2 =
   match m1, m2 with
   | Fin, _ | _, Fin -> true
   | Halt, _ | _, Halt -> false
@@ -86,54 +86,64 @@ let independent_moves independence reads m1 m2 =
     match independence with
     | Exact -> false
     | Commuting_events ->
-      List.for_all
-        (fun e1 -> List.for_all (independent_events ~reads e1) es2)
-        es1)
+      List.for_all (fun e1 -> List.for_all (independent_events e1) es2) es1)
 
-(* Saturating [b^n].  The deeper bounds the optimal engine reaches make
-   [|threads|^depth] overflow native ints (e.g. 8 threads at depth 21);
-   a wrapped count would silently report nonsense prune ratios, so the
-   count pins at [max_int] and [pp_stats] renders that distinctly. *)
+(* Saturating [b^n].  Deep bounds make [|threads|^depth] overflow native
+   ints (e.g. 8 threads at depth 21); a wrapped count would silently
+   report nonsense prune ratios, so the count pins at [max_int] and
+   [pp_stats] renders that distinctly. *)
 let sat_mul a b = if a > 0 && b > max_int / a then max_int else a * b
 let pow b n =
   let rec go acc n = if n <= 0 then acc else go (sat_mul acc b) (n - 1) in
   go 1 n
 
+module Iset = Set.Make (Int)
+
+(* Every integer an event carries — its source tid, arguments and return
+   value.  A tid in this set has leaked into the log as data, which ends
+   its symmetry with the other fresh threads of its class. *)
+let add_event_ints acc (e : Event.t) =
+  let rec add acc (v : Value.t) =
+    match v with
+    | Value.Vint n -> Iset.add n acc
+    | Value.Vpair (a, b) -> add (add acc a) b
+    | Value.Vlist vs -> List.fold_left add acc vs
+    | Value.Vunit | Value.Vbool _ -> acc
+  in
+  add (List.fold_left add (Iset.add e.src acc) e.args) e.ret
+
 (* A DFS node.  Thread states are immutable, so this is a complete,
    self-contained description of a subtree root: a child's sleep set
    depends only on its parent's sleep set and its earlier siblings' moves,
-   both known before descending, which is what makes subtrees independent
-   and the frontier-parallel walk below possible. *)
+   and its symmetry decisions only on its own path ([rev_prefix] and
+   [ints]), all known before descending, which is what makes subtrees
+   independent and the frontier-parallel walk below possible. *)
 type node = {
   slots : (Event.tid * Machine.thread_state) list;
   log : Log.t;
   step : int;
   rev_prefix : Event.tid list;
   sleep : (Event.tid * move) list;
+  ints : Iset.t;  (** integers seen in [log]; tracked only under [sym] *)
 }
 
 (* The frontier of a partially-expanded DFS, in pre-order: leaves already
    pinned interleave with unexpanded subtree roots. *)
 type fringe_item = Leaf of Event.tid list | Subtree of node
 
-(* Sleep-set DFS over the enabled moves of the whole-machine game, bounded
-   to [depth] scheduling choices.  Each surviving branch records its
-   choice prefix, later replayed through [Game.run] so leaf outcomes are
-   bit-identical to the exhaustive oracle's.
+(* Prune counters of one walk — what the suite cache stores alongside the
+   surviving prefixes.  Each sequential DFS counts into its own tally. *)
+type walk_stats = { mutable sleep_prunes : int; mutable sym_prunes : int }
 
-   With [jobs > 1] the root is expanded level-synchronously until the
-   frontier holds enough subtrees to feed the pool; subtrees then run
-   sequential DFS on separate domains and their results are concatenated
-   in fringe order.  Pre-order is preserved at every stage, so the prefix
-   list (and the prune count, a sum) is identical for every jobs count. *)
-(* Cache key of an engine walk: the engine descriptor plus the game
-   identity and every knob that shapes the walk.  The walk has no
-   failure mode (a stuck leaf is just a short prefix), so unlike
-   verdicts its result is stored unconditionally; the replay phase
-   always runs live.  [Explore] uses the same key for every cacheable
-   registered engine, so one scheme covers the whole suite cache. *)
-let suite_key ?private_fuel ~engine ~independence ~reads ~memory ~depth layer
-    threads =
+let no_prunes () = { sleep_prunes = 0; sym_prunes = 0 }
+
+(* Cache key of a walk: the engine descriptor plus the game identity and
+   every knob that shapes the walk.  The walk has no failure mode (a
+   stuck leaf is just a short prefix), so unlike verdicts its result is
+   stored unconditionally; the replay phase always runs live.
+   [default_reads] is still hashed so keys stay those of earlier
+   releases. *)
+let suite_key ?private_fuel ~engine ~independence ~memory ~depth layer threads =
   let st = Fingerprint.string Fingerprint.empty "engine-suite" in
   let st =
     Fingerprint.string st (Engine.to_string { engine with Engine.depth })
@@ -149,11 +159,30 @@ let suite_key ?private_fuel ~engine ~independence ~reads ~memory ~depth layer
   let st =
     Fingerprint.int st (match independence with Exact -> 1 | Commuting_events -> 2)
   in
-  let st = Fingerprint.list Fingerprint.string st reads in
+  let st = Fingerprint.list Fingerprint.string st default_reads in
   Fingerprint.finish (Fingerprint.option Fingerprint.int st private_fuel)
 
-let prefixes_with_prunes_live ?private_fuel ?(independence = Exact)
-    ?(reads = default_reads) ?jobs ?(memory = Memory.default) ~depth layer
+(* Sleep-set DFS over the enabled moves of the whole-machine game, bounded
+   to [depth] scheduling choices.  Each surviving branch records its
+   choice prefix, later replayed through [Game.run] so leaf outcomes are
+   bit-identical to the exhaustive oracle's.
+
+   [sym] adds symmetry reduction across identical fresh threads.  Two
+   real threads whose initial programs differ only in their own tid
+   (equal {!Fingerprint.prog_blind} fingerprints) are interchangeable
+   until either is scheduled or either tid leaks into the log as data; at
+   any node where several such threads are enabled, fresh, and absent
+   from the log's integers, only the first is explored.  A pruned move is
+   covered up to the tid transposition, so it is counted in [sym_prunes]
+   and kept out of its siblings' sleep sets; leaf logs are preserved only
+   up to renaming, which is why [sym] is opt-in.
+
+   With [jobs > 1] the root is expanded level-synchronously until the
+   frontier holds enough subtrees to feed the pool; subtrees then run
+   sequential DFS on separate domains and their results are concatenated
+   in fringe order.  Pre-order is preserved at every stage, so the prefix
+   list (and the prune counts, sums) is identical for every jobs count. *)
+let walk_live ?private_fuel ~independence ~sym ?jobs ~memory ~depth layer
     threads =
   (* Pseudo-threads (TSO flushers, the crash thread of a crash-enabled
      layer) are part of the schedule space: the DFS explores their moves
@@ -178,30 +207,71 @@ let prefixes_with_prunes_live ?private_fuel ?(independence = Exact)
     | Fin -> List.filter (fun (j, _) -> j <> i) slots, log
     | Halt -> slots, log
   in
+  (* Symmetry classes of the real tids, computed once: freshness (tid
+     never scheduled) means the thread still sits in its initial state. *)
+  let sym_class =
+    if not sym then fun _ -> None
+    else
+      let classes =
+        List.filter_map
+          (fun (i, p) ->
+            if i < 0 then None
+            else
+              Some
+                ( i,
+                  Fingerprint.finish
+                    (Fingerprint.prog_blind ~tid:i Fingerprint.empty p) ))
+          threads
+      in
+      fun i -> List.assoc_opt i classes
+  in
+  (* [reps] holds the classes already represented among this node's
+     earlier enabled moves. *)
+  let sym_pruned reps n i m =
+    match m, sym_class i with
+    | Halt, _ | _, None -> false
+    | (Fin | Step _), Some c ->
+      (not (List.mem i n.rev_prefix))
+      && (not (Iset.mem i n.ints))
+      && (List.exists (Fingerprint.equal c) !reps
+         || begin
+           reps := c :: !reps;
+           false
+         end)
+  in
   (* One level of expansion: the node's children (and immediate leaves) in
-     sibling order, plus the sleep-set prunes taken at this node. *)
-  let expand n =
-    if n.step >= depth || n.slots = [] then [ Leaf (List.rev n.rev_prefix) ], 0
+     sibling order; the prunes taken at this node go to [tally]. *)
+  let expand tally n =
+    if n.step >= depth || n.slots = [] then [ Leaf (List.rev n.rev_prefix) ]
     else
       match classify n.slots n.log with
-      | [] -> [ Leaf (List.rev n.rev_prefix) ], 0 (* deadlock: all blocked *)
+      | [] -> [ Leaf (List.rev n.rev_prefix) ] (* deadlock: all blocked *)
       | enabled ->
-        let prunes = ref 0 in
+        let reps = ref [] in
         let explored = ref [] in
         let items = ref [] in
         List.iter
           (fun (i, m) ->
-            if List.exists (fun (j, _) -> j = i) n.sleep then incr prunes
+            if List.exists (fun (j, _) -> j = i) n.sleep then
+              tally.sleep_prunes <- tally.sleep_prunes + 1
+            else if sym && sym_pruned reps n i m then
+              tally.sym_prunes <- tally.sym_prunes + 1
             else (
               (match m with
               | Halt -> items := Leaf (List.rev (i :: n.rev_prefix)) :: !items
               | Fin | Step _ ->
                 let sleep' =
                   List.filter
-                    (fun (_, m') -> independent_moves independence reads m' m)
+                    (fun (_, m') -> independent_moves independence m' m)
                     (n.sleep @ List.rev !explored)
                 in
                 let slots', log' = apply n.slots n.log i m in
+                let ints' =
+                  match m with
+                  | Step (evs, _) when sym ->
+                    List.fold_left add_event_ints n.ints evs
+                  | _ -> n.ints
+                in
                 items :=
                   Subtree
                     {
@@ -210,30 +280,29 @@ let prefixes_with_prunes_live ?private_fuel ?(independence = Exact)
                       step = n.step + 1;
                       rev_prefix = i :: n.rev_prefix;
                       sleep = sleep';
+                      ints = ints';
                     }
                   :: !items);
               explored := (i, m) :: !explored))
           enabled;
-        List.rev !items, !prunes
+        List.rev !items
   in
-  (* Sequential DFS of a whole subtree, expressed through [expand] so both
-     engines walk literally the same transition code. *)
+  (* Sequential DFS of a whole subtree, expressed through [expand] so the
+     sequential and split walks run literally the same transition code. *)
   let dfs_from root =
     let recorded = ref [] in
-    let prunes = ref 0 in
+    let tally = no_prunes () in
     let rec go n =
-      let items, p = expand n in
-      prunes := !prunes + p;
       List.iter
         (function
           | Leaf prefix -> recorded := prefix :: !recorded
           | Subtree n' -> go n')
-        items
+        (expand tally n)
     in
     (* a DFS classifies every thread at one log and then descends along
        extensions of it: one memo for the walk serves both *)
     Replay.with_memo (fun () -> go root);
-    List.rev !recorded, !prunes
+    List.rev !recorded, tally
   in
   let root =
     {
@@ -242,6 +311,7 @@ let prefixes_with_prunes_live ?private_fuel ?(independence = Exact)
       step = 0;
       rev_prefix = [];
       sleep = [];
+      ints = Iset.empty;
     }
   in
   let jobs = match jobs with Some j -> max 1 j | None -> 1 in
@@ -263,340 +333,67 @@ let prefixes_with_prunes_live ?private_fuel ?(independence = Exact)
       List.length
         (List.filter (function Subtree _ -> true | Leaf _ -> false) fringe)
     in
-    let rec grow fringe prunes rounds =
+    let tally = no_prunes () in
+    let rec grow fringe rounds =
       let subtrees = count_subtrees fringe in
-      if subtrees = 0 || subtrees >= target || rounds <= 0 then fringe, prunes
+      if subtrees = 0 || subtrees >= target || rounds <= 0 then fringe
       else
-        let prunes = ref prunes in
-        let fringe' =
-          List.concat_map
-            (function
-              | Leaf _ as l -> [ l ]
-              | Subtree n ->
-                let items, p = expand n in
-                prunes := !prunes + p;
-                items)
-            fringe
-        in
-        grow fringe' !prunes (rounds - 1)
+        grow
+          (List.concat_map
+             (function Leaf _ as l -> [ l ] | Subtree n -> expand tally n)
+             fringe)
+          (rounds - 1)
     in
-    let fringe, grow_prunes = grow [ Subtree root ] 0 (depth + 1) in
+    let fringe = grow [ Subtree root ] (depth + 1) in
     let parts =
       Parallel.map ~jobs
-        (function Leaf p -> [ p ], 0 | Subtree n -> dfs_from n)
+        (function Leaf p -> [ p ], no_prunes () | Subtree n -> dfs_from n)
         fringe
     in
-    ( List.concat_map fst parts,
-      List.fold_left (fun acc (_, p) -> acc + p) grow_prunes parts )
+    List.iter
+      (fun (_, p) ->
+        tally.sleep_prunes <- tally.sleep_prunes + p.sleep_prunes;
+        tally.sym_prunes <- tally.sym_prunes + p.sym_prunes)
+      parts;
+    List.concat_map fst parts, tally
   end
 
-(* ------------------------------------------------------------------ *)
-(* The optimal engine (DESIGN.md S31)                                  *)
-(* ------------------------------------------------------------------ *)
+(* [walk] is the only reader and writer of the ["engine"] entries.  The
+   payload keeps its (scheduler tag, prefixes, counters) shape so entries
+   written by earlier releases stay readable: their three-counter record
+   (sleep, dedup, sym) reads back as this two-counter one, which is exact
+   for [dpor:N] keys, whose dedup and sym counts are always 0. *)
+let engine_kind : (string * Event.tid list list * walk_stats) Cache.kind =
+  Cache.kind "engine"
 
-(* Sleep-set DFS extended with the two state-level reductions the
-   sleep-set engine cannot perform:
-
-   - [dedup]: state-fingerprint deduplication.  Two prefixes that
-     converge on the same machine state — same per-thread continuations
-     and abstract states, same step count, same log (same canonical log
-     under [Commuting_events]) — root isomorphic subtrees whose leaf
-     outcomes are pairwise equivalent, because the post-prefix
-     round-robin tail is a pure function of that state.  The second
-     visit is pruned.  Soundness needs Godefroid's sleep-set caching
-     rule: a visit is covered only by an earlier visit that explored at
-     least as much, i.e. whose not-explored (slept ∪ symmetry-pruned)
-     tid set is a subset of the current one; the current sleep set's
-     moves are covered along the current path as usual.  The step count
-     lives in the key because the depth bound is part of the state: a
-     shallower twin has a longer round-robin tail.
-
-   - [sym]: symmetry reduction across identical fresh threads.  Two
-     real threads whose initial programs differ only in their own tid
-     (equal {!Fingerprint.prog_blind} fingerprints) are interchangeable
-     until either is scheduled or either tid leaks into the log as data;
-     at any node where several such threads are enabled, fresh, and
-     absent from the log's integers, only the first is explored.  The
-     pruned branches are covered up to the tid transposition, so leaf
-     logs are preserved only up to renaming — [sym] is opt-in and
-     excluded from the literal log-identity matrix.
-
-   The walk is sequential (the dedup table is global); [ctx.jobs] still
-   parallelises the replay phase, so verdicts stay jobs-independent. *)
-let optimal_walk_live ?private_fuel ~independence ~reads ~dedup ~sym ~memory
-    ~depth layer threads =
-  let threads = threads @ Game.pseudo_threads ~memory layer threads in
-  let classify slots log =
-    List.filter_map
-      (fun (i, st) ->
-        match Machine.step_move ?private_fuel layer i st log with
-        | Machine.Blocked_at _ -> None
-        | Machine.Finished _ -> Some (i, Fin)
-        | Machine.Moved (evs, st') -> Some (i, Step (evs, st'))
-        | Machine.Stuck _ -> Some (i, Halt))
-      slots
-  in
-  let apply slots log i = function
-    | Step (evs, st') ->
-      ( List.map (fun (j, st) -> if j = i then j, st' else j, st) slots,
-        Log.append_all evs log )
-    | Fin -> List.filter (fun (j, _) -> j <> i) slots, log
-    | Halt -> slots, log
-  in
-  (* Symmetry classes over the real tids: the tid-blinded fingerprint of
-     each initial program, computed once — freshness (tid never
-     scheduled) means the thread still sits in its initial state. *)
-  let sym_class =
-    if not sym then fun _ -> None
-    else
-      let classes =
-        List.filter_map
-          (fun (i, p) ->
-            if i < 0 then None
-            else
-              Some
-                ( i,
-                  Fingerprint.finish
-                    (Fingerprint.prog_blind ~tid:i Fingerprint.empty p) ))
-          threads
-      in
-      fun i -> List.assoc_opt i classes
-  in
-  let module Iset = Set.Make (Int) in
-  let add_value_ints acc v =
-    let rec go acc (v : Value.t) =
-      match v with
-      | Value.Vint n -> Iset.add n acc
-      | Value.Vpair (a, b) -> go (go acc a) b
-      | Value.Vlist vs -> List.fold_left go acc vs
-      | Value.Vunit | Value.Vbool _ -> acc
-    in
-    go acc v
-  in
-  let add_event_ints acc (e : Event.t) =
-    add_value_ints
-      (List.fold_left add_value_ints (Iset.add e.src acc) e.args)
-      e.ret
-  in
-  let state_key step slots log =
-    let st = Fingerprint.int Fingerprint.empty step in
-    let st =
-      Fingerprint.list
-        (fun st (i, (ts : Machine.thread_state)) ->
-          let st = Fingerprint.int st i in
-          let st = Fingerprint.prog ~budget:512 st ts.Machine.prog in
-          let st =
-            Fingerprint.list
-              (fun st (k, v) -> Fingerprint.value (Fingerprint.string st k) v)
-              st (Abs.fields ts.Machine.abs)
-          in
-          Fingerprint.bool st ts.Machine.crit)
-        st slots
-    in
-    let log_hash =
-      match independence with
-      | Exact -> Log.hash log
-      | Commuting_events -> Log.hash (canonical_log ~reads log)
-    in
-    Fingerprint.finish (Fingerprint.int st log_hash)
-  in
-  let seen : (Fingerprint.t, Iset.t list ref) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  let covered key not_explored =
-    match Hashtbl.find_opt seen key with
-    | None -> false
-    | Some stored -> List.exists (fun s -> Iset.subset s not_explored) !stored
-  in
-  let record key not_explored =
-    match Hashtbl.find_opt seen key with
-    | Some stored -> stored := not_explored :: !stored
-    | None -> Hashtbl.add seen key (ref [ not_explored ])
-  in
-  let recorded = ref [] in
-  let sleep_prunes = ref 0 in
-  let dedup_hits = ref 0 in
-  let sym_prunes = ref 0 in
-  let rec go n log_ints =
-    let emit_leaf () = recorded := List.rev n.rev_prefix :: !recorded in
-    (* A leaf does not branch, so any earlier visit of the same state at
-       the same step covers it wholesale: stored with the empty set. *)
-    let leaf_covered () =
-      dedup
-      &&
-      let key = state_key n.step n.slots n.log in
-      if covered key Iset.empty then begin
-        incr dedup_hits;
-        true
-      end
-      else begin
-        record key Iset.empty;
-        false
-      end
-    in
-    if n.step >= depth || n.slots = [] then begin
-      if not (leaf_covered ()) then emit_leaf ()
-    end
-    else
-      match classify n.slots n.log with
-      | [] -> if not (leaf_covered ()) then emit_leaf () (* deadlock *)
-      | enabled ->
-        (* Decide each enabled move before touching any child: slept,
-           symmetry-pruned, or explored. *)
-        let decisions =
-          let sym_reps = ref [] in
-          List.map
-            (fun (i, m) ->
-              if List.exists (fun (j, _) -> j = i) n.sleep then (i, m, `Sleep)
-              else
-                let symmetric =
-                  m <> Halt && i >= 0
-                  && (not (List.mem i n.rev_prefix))
-                  && (not (Iset.mem i log_ints))
-                  &&
-                  match sym_class i with
-                  | None -> false
-                  | Some c ->
-                    if
-                      List.exists
-                        (fun (c', i') ->
-                          Fingerprint.equal c c'
-                          && not (Iset.mem i' log_ints))
-                        !sym_reps
-                    then true
-                    else begin
-                      sym_reps := (c, i) :: !sym_reps;
-                      false
-                    end
-                in
-                if symmetric then (i, m, `Sym) else (i, m, `Explore))
-            enabled
-        in
-        let not_explored =
-          List.fold_left
-            (fun acc (i, _, d) ->
-              match d with `Sleep | `Sym -> Iset.add i acc | `Explore -> acc)
-            Iset.empty decisions
-        in
-        let deduped =
-          dedup
-          &&
-          let key = state_key n.step n.slots n.log in
-          if covered key not_explored then begin
-            incr dedup_hits;
-            true
-          end
-          else begin
-            record key not_explored;
-            false
-          end
-        in
-        if not deduped then begin
-          let explored = ref [] in
-          List.iter
-            (fun (i, m, d) ->
-              match d with
-              | `Sleep -> incr sleep_prunes
-              | `Sym -> incr sym_prunes
-              | `Explore ->
-                (match m with
-                | Halt ->
-                  recorded := List.rev (i :: n.rev_prefix) :: !recorded
-                | Fin | Step _ ->
-                  let sleep' =
-                    List.filter
-                      (fun (_, m') -> independent_moves independence reads m' m)
-                      (n.sleep @ List.rev !explored)
-                  in
-                  let slots', log' = apply n.slots n.log i m in
-                  let log_ints' =
-                    if not sym then log_ints
-                    else
-                      match m with
-                      | Step (evs, _) ->
-                        List.fold_left add_event_ints log_ints evs
-                      | Fin | Halt -> log_ints
-                  in
-                  go
-                    {
-                      slots = slots';
-                      log = log';
-                      step = n.step + 1;
-                      rev_prefix = i :: n.rev_prefix;
-                      sleep = sleep';
-                    }
-                    log_ints');
-                explored := (i, m) :: !explored)
-            decisions
-        end
-  in
-  Replay.with_memo (fun () ->
-      go
-        {
-          slots = List.map (fun (i, p) -> i, Machine.initial layer i p) threads;
-          log = Log.empty;
-          step = 0;
-          rev_prefix = [];
-          sleep = [];
-        }
-        Iset.empty);
-  ( List.rev !recorded,
-    {
-      Engine.sleep_prunes = !sleep_prunes;
-      dedup_hits = !dedup_hits;
-      sym_prunes = !sym_prunes;
-    } )
-
-(* ------------------------------------------------------------------ *)
-(* Engine dispatch, suite cache, schedulers                            *)
-(* ------------------------------------------------------------------ *)
-
-let walk_live ?private_fuel ?(independence = Exact) ?(reads = default_reads)
-    ?jobs ?(memory = Memory.default) ~engine ~depth layer threads =
-  match (engine : Engine.t).algo with
-  | Engine.Dpor ->
-    let prefixes, prunes =
-      prefixes_with_prunes_live ?private_fuel ~independence ~reads ?jobs
-        ~memory ~depth layer threads
-    in
-    prefixes, { Engine.no_walk_stats with Engine.sleep_prunes = prunes }
-  | Engine.Optimal ->
-    optimal_walk_live ?private_fuel ~independence ~reads
-      ~dedup:engine.Engine.dedup ~sym:engine.Engine.sym ~memory ~depth layer
-      threads
-  | Engine.Exhaustive | Engine.Random ->
-    invalid_arg
-      ("Dpor.walk: not a DPOR-family engine: " ^ Engine.to_string engine)
-
-let walk ?private_fuel ?(independence = Exact) ?(reads = default_reads) ?jobs
-    ?cache ?(memory = Memory.default) ~engine ~depth layer threads =
+let walk ?private_fuel ~independence ?jobs ?cache ~memory ~engine ~depth layer
+    threads =
+  if engine.Engine.algo <> Engine.Dpor then
+    invalid_arg ("Dpor.walk: not a DPOR engine: " ^ Engine.to_string engine);
   let body () =
-    walk_live ?private_fuel ~independence ~reads ?jobs ~memory ~engine ~depth
-      layer threads
+    walk_live ?private_fuel ~independence ~sym:engine.Engine.sym ?jobs ~memory
+      ~depth layer threads
   in
   match cache with
   | None -> body ()
   | Some c -> (
     let key =
-      suite_key ?private_fuel ~engine ~independence ~reads ~memory ~depth
-        layer threads
+      suite_key ?private_fuel ~engine ~independence ~memory ~depth layer threads
     in
-    (* The stored shape is shared with [Explore]'s suite cache (one
-       ["engine"] kind for every cacheable engine), so the scheduler-name
-       tag rides along even though the dpor family's is constant. *)
-    match Cache.find c ~kind:"engine" key with
-    | Some ((_tag, prefixes, stats) : string * Event.tid list list * Engine.walk_stats)
-      ->
-      prefixes, stats
+    match Cache.find c engine_kind key with
+    | Some (_tag, prefixes, stats) -> prefixes, stats
     | None ->
       let prefixes, stats = body () in
-      Cache.store c ~kind:"engine" key ("dpor", prefixes, stats);
-      (prefixes, stats))
+      Cache.store c engine_kind key ("dpor", prefixes, stats);
+      prefixes, stats)
 
-let sched_of_prefix prefix =
+(* Content-bearing names, not the default "trace": the certificate cache
+   identifies a scheduler suite by its names, so two suites of different
+   prefixes must not alias. *)
+let sched_of_prefix ~tag prefix =
   Sched.of_trace
     ~name:
-      (Printf.sprintf "dpor:[%s]"
+      (Printf.sprintf "%s:[%s]" tag
          (String.concat "," (List.map string_of_int prefix)))
     prefix
 
@@ -610,8 +407,6 @@ let pp_stats fmt s =
     s.schedules_run pp_count s.schedules_considered pp_count
     s.schedules_pruned s.sleep_set_prunes
     (fun fmt ->
-      if s.dedup_hits > 0 then
-        Format.fprintf fmt ", %d state-dedup hits" s.dedup_hits;
       if s.sym_prunes > 0 then
         Format.fprintf fmt ", %d symmetry prunes" s.sym_prunes)
     s.distinct_logs
@@ -627,47 +422,28 @@ let pp_stats fmt s =
    step budget. *)
 
 (* The engine a context implies for the walk: the context's strategy
-   when it is DPOR-family, otherwise the default sleep-set engine (a
-   checker driving an [`Exhaustive]/[`Random] context never reaches the
-   walk — [Explore] dispatches those to their own implementations). *)
+   when it is [Dpor], otherwise the default engine (a checker driving an
+   exhaustive or random context never reaches the walk). *)
 let engine_of_ctx ctx =
   match (ctx.Ctx.strategy : Engine.t).algo with
-  | Engine.Dpor | Engine.Optimal -> ctx.Ctx.strategy
+  | Engine.Dpor -> ctx.Ctx.strategy
   | Engine.Exhaustive | Engine.Random -> Engine.default
 
-let walk_ctx ~ctx ?private_fuel ?independence ?reads ?engine ~depth layer
-    threads =
-  let engine =
-    match engine with Some e -> e | None -> engine_of_ctx ctx
-  in
-  Ctx.arm ctx (fun () ->
-      walk ?private_fuel ?independence ?reads ?jobs:(Ctx.jobs_opt ctx)
-        ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory ~engine ~depth layer
-        threads)
+let walk_ctx ~ctx ?private_fuel ~independence ?engine ~depth layer threads =
+  let engine = match engine with Some e -> e | None -> engine_of_ctx ctx in
+  walk ?private_fuel ~independence ?jobs:(Ctx.jobs_opt ctx) ?cache:ctx.Ctx.cache
+    ~memory:ctx.Ctx.memory ~engine ~depth layer threads
 
-let prefixes_ctx ~ctx ?private_fuel ?independence ?reads ?engine ~depth layer
-    threads =
-  fst
-    (walk_ctx ~ctx ?private_fuel ?independence ?reads ?engine ~depth layer
-       threads)
+let prefixes_ctx ~ctx ?private_fuel ?(independence = Exact) ?engine ~depth
+    layer threads =
+  fst (walk_ctx ~ctx ?private_fuel ~independence ?engine ~depth layer threads)
 
-let schedules_ctx ~ctx ?private_fuel ?independence ?reads ?engine ~depth layer
-    threads =
-  List.map sched_of_prefix
-    (prefixes_ctx ~ctx ?private_fuel ?independence ?reads ?engine ~depth layer
-       threads)
-
-let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?reads
-    ?engine ~depth layer threads =
+let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?engine
+    ~depth layer threads =
   Ctx.arm ctx @@ fun () ->
-  let engine =
-    match engine with Some e -> e | None -> engine_of_ctx ctx
-  in
   let prefixes, walk_stats =
     Probe.span "dpor.prefixes" (fun () ->
-        walk ?private_fuel ~independence ?reads ?jobs:(Ctx.jobs_opt ctx)
-          ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory ~engine ~depth layer
-          threads)
+        walk_ctx ~ctx ?private_fuel ~independence ?engine ~depth layer threads)
   in
   let replay =
     Probe.span "dpor.replay" (fun () ->
@@ -678,7 +454,7 @@ let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?reads
           (fun ~stop p ->
             Game.replay
               (Game.config ?max_steps ?stop ~memory:ctx.Ctx.memory layer
-                 threads (sched_of_prefix p)))
+                 threads (sched_of_prefix ~tag:"dpor" p)))
           prefixes)
   in
   let outcomes = replay.Parallel.prefix in
@@ -686,13 +462,13 @@ let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?reads
   let representative =
     match independence with
     | Exact -> logs
-    | Commuting_events -> List.map (canonical_log ?reads) logs
+    | Commuting_events -> List.map canonical_log logs
   in
   let schedules_considered = pow (List.length threads) depth in
   let distinct_logs =
     Probe.span "dpor.dedup" (fun () -> List.length (Log.dedup representative))
   in
-  Probe.add Probe.sleep_set_prunes walk_stats.Engine.sleep_prunes;
+  Probe.add Probe.sleep_set_prunes walk_stats.sleep_prunes;
   Probe.add Probe.logs_distinct distinct_logs;
   let result =
     {
@@ -704,9 +480,8 @@ let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?reads
           schedules_run = replay.Parallel.scanned;
           schedules_pruned =
             max 0 (schedules_considered - List.length prefixes);
-          sleep_set_prunes = walk_stats.Engine.sleep_prunes;
-          dedup_hits = walk_stats.Engine.dedup_hits;
-          sym_prunes = walk_stats.Engine.sym_prunes;
+          sleep_set_prunes = walk_stats.sleep_prunes;
+          sym_prunes = walk_stats.sym_prunes;
           distinct_logs;
         };
     }
@@ -714,36 +489,3 @@ let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?reads
   if replay.Parallel.ran_out then
     Budget.Exhausted { spent = Budget.spent ctx.Ctx.token; partial = result }
   else Budget.Complete result
-
-(* ------------------------------------------------------------------ *)
-(* Registered engine implementations                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The two DPOR-family implementations behind the [Explore] registry.
-   They run the live walks; [Explore.scheds_of_strategy_ctx] layers the
-   suite cache on top with {!suite_key} so every cacheable engine shares
-   one keying scheme. *)
-
-module Sleep_impl : Engine.IMPL = struct
-  let algo = Engine.Dpor
-  let cacheable = true
-
-  let suite ~engine ~jobs ~memory ?private_fuel layer threads =
-    let prefixes, stats =
-      walk_live ?private_fuel ~jobs ~memory ~engine ~depth:engine.Engine.depth
-        layer threads
-    in
-    Engine.Prefixes { tag = "dpor"; prefixes; stats }
-end
-
-module Optimal_impl : Engine.IMPL = struct
-  let algo = Engine.Optimal
-  let cacheable = true
-
-  let suite ~engine ~jobs ~memory ?private_fuel layer threads =
-    let prefixes, stats =
-      walk_live ?private_fuel ~jobs ~memory ~engine ~depth:engine.Engine.depth
-        layer threads
-    in
-    Engine.Prefixes { tag = "dpor"; prefixes; stats }
-end

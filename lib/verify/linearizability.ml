@@ -79,6 +79,8 @@ let refine_key ?max_steps ?expect_all_done ~memory ~underlay ~impl ~overlay
    deserializing into a wrong-but-plausible report. *)
 type stored_report = { report : Refinement.report; log_hash : Fingerprint.t }
 
+let refine_kind : stored_report Cache.kind = Cache.kind "refine"
+
 let report_hash (r : Refinement.report) =
   let st = Fingerprint.int Fingerprint.empty r.Refinement.scheds_checked in
   let st = Fingerprint.list Fingerprint.log st r.Refinement.logs in
@@ -101,19 +103,19 @@ let refine_ctx ~ctx ?max_steps ?expect_all_done ~underlay ~impl ~overlay
     let run_and_store () =
       match live () with
       | Budget.Complete (Ok report) as ok ->
-        Cache.store c ~kind:"refine" key
+        Cache.store c refine_kind key
           { report; log_hash = report_hash report };
         ok
       (* Refinement failures always re-run live, and an exhausted prefix
          is not the report — neither is stored. *)
       | (Budget.Complete (Error _) | Budget.Exhausted _) as r -> r
     in
-    match Cache.find c ~kind:"refine" key with
+    match Cache.find c refine_kind key with
     | Some { report; log_hash }
       when Fingerprint.equal (report_hash report) log_hash ->
       Budget.Complete (Ok report)
     | Some _ ->
-      Cache.invalidate c ~kind:"refine" key;
+      Cache.invalidate c refine_kind key;
       run_and_store ()
     | None -> run_and_store ())
 

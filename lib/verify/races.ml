@@ -8,6 +8,11 @@ open Ccal_core
    scan and wins immediately. *)
 type partial = { scanned : int; clean : int; others : string list }
 
+(* A race-free verdict stores its run count; an exhausted scan stores
+   its partial, the implicit resume point of the next run. *)
+let verdict_kind : int Cache.kind = Cache.kind "races"
+let partial_kind : partial Cache.kind = Cache.kind "races.partial"
+
 type verdict =
   | Race_free of { runs : int }
   | Race of { sched_name : string; detail : string; log : Log.t }
@@ -161,27 +166,27 @@ let check_ctx ~ctx ?max_steps ?scheds ?resume layer threads =
       | None -> `Strategy ctx.Ctx.strategy
     in
     let key = check_key ?max_steps ~suite ~memory:ctx.Ctx.memory layer threads in
-    match Cache.find c ~kind:"races" key with
-    | Some (runs : int) -> Race_free { runs }
+    match Cache.find c verdict_kind key with
+    | Some runs -> Race_free { runs }
     | None -> (
       (* No full verdict cached: a stashed partial from an earlier
          exhausted run is the implicit resume point. *)
       let resume =
         match resume with
         | Some _ -> resume
-        | None -> (Cache.find c ~kind:"races.partial" key : partial option)
+        | None -> Cache.find c partial_kind key
       in
       match run resume with
       | Race_free { runs } as v ->
-        Cache.store c ~kind:"races" key runs;
-        Cache.invalidate c ~kind:"races.partial" key;
+        Cache.store c verdict_kind key runs;
+        Cache.invalidate c partial_kind key;
         v
       (* Races and other failures are never stored: they must always
          reproduce live, counterexample log and all.  Their partial is
          stale once the full scan finished, so it goes too. *)
       | (Race _ | Other_failure _) as v ->
-        Cache.invalidate c ~kind:"races.partial" key;
+        Cache.invalidate c partial_kind key;
         v
       | Exhausted { partial; _ } as v ->
-        Cache.store c ~kind:"races.partial" key partial;
+        Cache.store c partial_kind key partial;
         v))

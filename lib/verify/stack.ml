@@ -10,6 +10,8 @@ type edge = {
       (* this edge's telemetry counter growth; [] when telemetry is off *)
 }
 
+let edge_kind : edge Cache.kind = Cache.kind "edge"
+
 type report = {
   edges : edge list;
   total_checks : int;
@@ -307,14 +309,14 @@ let verify_all_ctx ~ctx ?(lock = `Ticket) ?(seeds = 4) ?strategy
     | None, _ | _, None -> run ()
     | Some c, Some key -> (
       let found, lookup_ms =
-        Verify_clock.timed (fun () -> Cache.find c ~kind:"edge" key)
+        Verify_clock.timed (fun () -> Cache.find c edge_kind key)
       in
       match found with
-      | Some (e : edge) -> Ok { e with millis = lookup_ms }
+      | Some e -> Ok { e with millis = lookup_ms }
       | None -> (
         match run () with
         | Ok e ->
-          Cache.store c ~kind:"edge" key e;
+          Cache.store c edge_kind key e;
           Ok e
         | Error _ as err -> err))
   in

@@ -78,13 +78,20 @@ let test_fingerprint_sensitive () =
 
 (* ---- the store ---- *)
 
+(* Test-only payload kinds.  Kind names are unique per process, so none
+   reuses a checker's name. *)
+let pair_kind : (int * string) V.Cache.kind = V.Cache.kind "test-pair"
+let int_kind : int V.Cache.kind = V.Cache.kind "test-int"
+let ints_kind : int list V.Cache.kind = V.Cache.kind "test-ints"
+let string_kind : string V.Cache.kind = V.Cache.kind "test-string"
+
 let test_roundtrip () =
   with_cache (fun c ->
       let key = fp_of_string "roundtrip-key" in
-      check_bool "absent is a miss" true (V.Cache.find c ~kind:"edge" key = None);
-      V.Cache.store c ~kind:"edge" key (42, "payload");
+      check_bool "absent is a miss" true (V.Cache.find c pair_kind key = None);
+      V.Cache.store c pair_kind key (42, "payload");
       check_bool "hit returns the value" true
-        (V.Cache.find c ~kind:"edge" key = Some (42, "payload"));
+        (V.Cache.find c pair_kind key = Some (42, "payload"));
       let s = V.Cache.session_stats c in
       check_int "hits" 1 s.hits;
       check_int "misses" 1 s.misses;
@@ -96,15 +103,21 @@ let test_roundtrip () =
 let test_kind_separates_payloads () =
   with_cache (fun c ->
       let key = fp_of_string "same-key" in
-      V.Cache.store c ~kind:"edge" key 1;
+      V.Cache.store c int_kind key 1;
       (* same fingerprint, different payload kind: no type confusion *)
-      check_bool "other kind misses" true (V.Cache.find c ~kind:"races" key = None);
-      check_bool "own kind hits" true (V.Cache.find c ~kind:"edge" key = Some 1))
+      check_bool "other kind misses" true (V.Cache.find c string_kind key = None);
+      check_bool "own kind hits" true (V.Cache.find c int_kind key = Some 1);
+      (* one name, one payload type: a second kind of the same name is
+         refused *)
+      check_bool "duplicate kind name rejected" true
+        (match (V.Cache.kind "test-int" : string V.Cache.kind) with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
 
 let test_corrupt_entry_recovered () =
   with_cache (fun c ->
       let key = fp_of_string "corrupt-me" in
-      V.Cache.store c ~kind:"edge" key (List.init 64 Fun.id);
+      V.Cache.store c ints_kind key (List.init 64 Fun.id);
       (match entry_files c with
       | [ path ] ->
         let oc = open_out path in
@@ -112,7 +125,7 @@ let test_corrupt_entry_recovered () =
         close_out oc
       | files -> Alcotest.failf "expected 1 entry, found %d" (List.length files));
       check_bool "corrupt is a miss" true
-        (V.Cache.find c ~kind:"edge" (key : Fingerprint.t) = (None : int list option));
+        (V.Cache.find c ints_kind key = None);
       let s = V.Cache.session_stats c in
       check_int "invalidation counted" 1 s.invalidations;
       check_int "entry deleted" 0 (V.Cache.disk_stats c).entries)
@@ -120,7 +133,7 @@ let test_corrupt_entry_recovered () =
 let test_truncated_entry_recovered () =
   with_cache (fun c ->
       let key = fp_of_string "truncate-me" in
-      V.Cache.store c ~kind:"edge" key (String.make 4096 'x');
+      V.Cache.store c string_kind key (String.make 4096 'x');
       (match entry_files c with
       | [ path ] ->
         (* keep the magic header, cut the payload short *)
@@ -133,7 +146,7 @@ let test_truncated_entry_recovered () =
         close_out oc
       | files -> Alcotest.failf "expected 1 entry, found %d" (List.length files));
       check_bool "truncated is a miss" true
-        (V.Cache.find c ~kind:"edge" (key : Fingerprint.t) = (None : string option));
+        (V.Cache.find c string_kind key = None);
       check_int "invalidation counted" 1 (V.Cache.session_stats c).invalidations;
       check_int "entry deleted" 0 (V.Cache.disk_stats c).entries)
 
@@ -182,11 +195,11 @@ let test_crash_kind_corrupt_rechecks () =
 let test_invalidate_and_clear () =
   with_cache (fun c ->
       let k1 = fp_of_string "k1" and k2 = fp_of_string "k2" in
-      V.Cache.store c ~kind:"edge" k1 1;
-      V.Cache.store c ~kind:"edge" k2 2;
-      V.Cache.invalidate c ~kind:"edge" k1;
+      V.Cache.store c int_kind k1 1;
+      V.Cache.store c int_kind k2 2;
+      V.Cache.invalidate c int_kind k1;
       check_bool "invalidated entry gone" true
-        (V.Cache.find c ~kind:"edge" k1 = (None : int option));
+        (V.Cache.find c int_kind k1 = None);
       check_int "other entry intact" 1 (V.Cache.disk_stats c).entries;
       check_int "clear reports count" 1 (V.Cache.clear c);
       check_int "store empty" 0 (V.Cache.disk_stats c).entries)

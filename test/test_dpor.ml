@@ -50,6 +50,11 @@ let check_equiv ?(independence = V.Dpor.Exact) layer threads depth =
   check_bool "log sets equal" true (log_sets_equal dpor_logs exh_logs);
   r.V.Dpor.stats
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec scan i = i + n <= m && (String.sub s i n = sub || scan (i + 1)) in
+  scan 0
+
 let lock_client i =
   Prog.bind (Prog.call "acq" [ vi 0 ]) (fun _ ->
       Prog.seq (Prog.call "rel" [ vi 0; vi i ]) (Prog.ret (vi i)))
@@ -282,19 +287,21 @@ let test_split_llock_6t_depth7 () =
 
 (* ---- the engine matrix ----
 
-   The Strategy API redesign promises every registered engine the same
-   verdicts: for each corpus game, the distinct-log set reached by the
-   sleep-set engine ([dpor]), the optimal engine flagless, and the optimal
-   engine with state-dedup must all equal the exhaustive oracle's — and
-   the flagless optimal walk must be bit-identical (prefixes, stats,
-   outcomes) to the sleep-set walk it extends. *)
+   Every engine the checkers can select must reach the oracle's verdicts:
+   for each corpus game, the distinct-log set of the [dpor] walk and of
+   the [dpor] and [exhaustive] suites dispatched by
+   [Explore.scheds_of_strategy_ctx] must equal the exhaustive oracle's,
+   and the [dpor,sym] walk may only drop logs (it keeps one
+   representative per symmetry orbit), never invent one. *)
 
 module E = V.Ctx.Engine
 
-let explore_with ~engine layer threads depth =
+let explore_with ?(jobs = 1) ?(independence = V.Dpor.Exact) ~engine layer
+    threads depth =
   let r =
     V.Budget.value
-      (V.Dpor.explore_ctx ~ctx:V.Ctx.default ~engine ~depth layer threads)
+      (V.Dpor.explore_ctx ~ctx:(V.Ctx.make ~jobs ()) ~independence ~engine
+         ~depth layer threads)
   in
   let logs =
     Log.dedup
@@ -304,48 +311,36 @@ let explore_with ~engine layer threads depth =
 
 let check_engine_matrix name layer threads depth =
   let tids = List.map fst threads in
-  let exh_logs =
+  let run_logs scheds =
     Log.dedup
       (V.Explore.all_logs
          (V.Budget.value
-            (V.Explore.run_all_ctx ~ctx:V.Ctx.default layer threads
-               (V.Explore.exhaustive_scheds ~tids ~depth))))
+            (V.Explore.run_all_ctx ~ctx:V.Ctx.default layer threads scheds)))
   in
-  let engines =
-    [ "dpor", E.dpor ~depth;
-      "optimal", E.optimal ~depth ();
-      "optimal,dedup", E.optimal ~dedup:true ~depth () ]
+  let exh_logs = run_logs (V.Explore.exhaustive_scheds ~tids ~depth) in
+  let agrees what logs =
+    check_int
+      (Printf.sprintf "%s/%s: distinct log count vs oracle" name what)
+      (List.length exh_logs) (List.length logs);
+    check_bool
+      (Printf.sprintf "%s/%s: log set equals oracle" name what)
+      true
+      (log_sets_equal logs exh_logs)
   in
-  let results =
-    List.map
-      (fun (ename, engine) ->
-        let logs, r = explore_with ~engine layer threads depth in
-        check_int
-          (Printf.sprintf "%s/%s: distinct log count vs oracle" name ename)
-          (List.length exh_logs) (List.length logs);
-        check_bool
-          (Printf.sprintf "%s/%s: log set equals oracle" name ename)
-          true
-          (log_sets_equal logs exh_logs);
-        ename, r)
-      engines
+  agrees "dpor walk"
+    (fst (explore_with ~engine:(E.dpor ~depth) layer threads depth));
+  List.iter
+    (fun engine ->
+      let ctx = V.Ctx.make ~strategy:engine () in
+      agrees
+        ("dispatched " ^ E.to_string engine)
+        (run_logs (V.Explore.scheds_of_strategy_ctx ~ctx layer threads)))
+    [ E.dpor ~depth; E.exhaustive ~depth ];
+  let sym_logs, _ =
+    explore_with ~engine:(E.dpor_sym ~depth) layer threads depth
   in
-  (* flagless optimal is the sleep-set walk run sequentially: the entire
-     result must coincide, not just the log set *)
-  let walk r =
-    ( r.V.Dpor.prefixes,
-      r.V.Dpor.stats,
-      List.map
-        (fun (o : Game.outcome) -> o.Game.log, o.Game.status)
-        r.V.Dpor.outcomes )
-  in
-  let dpor_r = List.assoc "dpor" results in
-  let opt_r = List.assoc "optimal" results in
-  check_bool (name ^ ": flagless optimal = dpor walk") true
-    (walk opt_r = walk dpor_r);
-  let dd_r = List.assoc "optimal,dedup" results in
-  check_bool (name ^ ": dedup stats sane") true
-    (dd_r.V.Dpor.stats.V.Dpor.dedup_hits >= 0)
+  check_bool (name ^ ": dpor,sym logs are oracle logs") true
+    (List.for_all (fun l -> List.exists (Log.equal l) exh_logs) sym_logs)
 
 let test_matrix_ticket () =
   check_engine_matrix "ticket" (Ticket_lock.l0 ()) (ticket_threads 2) 4
@@ -373,7 +368,7 @@ let test_matrix_kv () =
 
 (* ---- symmetry reduction ----
 
-   [optimal,sym] prunes enabled moves of fresh threads whose programs are
+   [dpor,sym] prunes enabled moves of fresh threads whose programs are
    identical up to their own tid ([Fingerprint.prog_blind]); it keeps one
    representative per symmetry class, so its logs are a subset of the
    flagless frontier and the distinct count collapses to the orbit
@@ -383,9 +378,9 @@ let test_matrix_kv () =
 let test_sym_prunes_lock () =
   let threads = List.init 3 (fun k -> k + 1, lock_client (k + 1)) in
   let layer = Lock_intf.layer "Llock" in
-  let flag_logs, flag_r = explore_with ~engine:(E.optimal ~depth:5 ()) layer threads 5 in
+  let flag_logs, flag_r = explore_with ~engine:(E.dpor ~depth:5) layer threads 5 in
   let sym_logs, sym_r =
-    explore_with ~engine:(E.optimal ~sym:true ~depth:5 ()) layer threads 5
+    explore_with ~engine:(E.dpor_sym ~depth:5) layer threads 5
   in
   check_bool "sym pruned at least one branch" true
     (sym_r.V.Dpor.stats.V.Dpor.sym_prunes > 0);
@@ -397,37 +392,38 @@ let test_sym_prunes_lock () =
   check_bool "sym kept at least one representative" true
     (List.length sym_logs >= 1)
 
-(* ---- state-dedup soundness property ----
-
-   Random two-thread programs over the TSO cell layer (stores, loads and
-   fences over two locations — silent buffer commits and all): the
-   distinct leaf-log set under [optimal,dedup] must equal the flagless
-   optimal engine's.  Dedup may only prune subtrees whose every leaf log
-   is reachable elsewhere; dropping a distinct log is unsound. *)
-
-let prop_dedup_never_drops_logs =
-  let op_of_code c =
-    match c mod 5 with
-    | 0 -> Prog.call "astore" [ vi 1; vi 1 ]
-    | 1 -> Prog.call "astore" [ vi 2; vi 2 ]
-    | 2 -> Prog.call "aload" [ vi 1 ]
-    | 3 -> Prog.call "aload" [ vi 2 ]
-    | _ -> Prog.call "mfence" []
+(* Symmetry decisions depend only on a node's own path, so the [sym]
+   walk splits its frontier over the pool like the plain one: prefixes
+   (in order) and every stat must be identical for jobs 1, 2 and 4.  The
+   counts are the ones the depth-8 gate of `make check-optimal` reports. *)
+let check_sym_split name layer threads ~runs ~sleep ~sym ~distinct =
+  let walk jobs =
+    let _, r =
+      explore_with ~jobs ~independence:V.Dpor.Commuting_events
+        ~engine:(E.dpor_sym ~depth:8) layer threads 8
+    in
+    r.V.Dpor.prefixes, r.V.Dpor.stats
   in
-  let prog_of_codes codes = Prog.seq_all (List.map op_of_code codes) in
-  qtc ~count:40 "state-dedup never drops a distinct leaf log"
-    QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 3) (int_range 0 9))
-        (list_of_size Gen.(1 -- 3) (int_range 0 9)))
-    (fun (a, b) ->
-      let layer = Ccal_machine.Tso.layer () in
-      let threads = [ 1, prog_of_codes a; 2, prog_of_codes b ] in
-      let flag_logs, _ = explore_with ~engine:(E.optimal ~depth:4 ()) layer threads 4 in
-      let dd_logs, _ =
-        explore_with ~engine:(E.optimal ~dedup:true ~depth:4 ()) layer threads 4
-      in
-      log_sets_equal flag_logs dd_logs)
+  let ((_, stats) as seq) = walk 1 in
+  List.iter
+    (fun jobs ->
+      check_bool
+        (Printf.sprintf "%s: dpor,sym jobs=%d = jobs=1" name jobs)
+        true (walk jobs = seq))
+    [ 2; 4 ];
+  check_int (name ^ ": schedules run") runs stats.V.Dpor.schedules_run;
+  check_int (name ^ ": sleep-set prunes") sleep stats.V.Dpor.sleep_set_prunes;
+  check_int (name ^ ": symmetry prunes") sym stats.V.Dpor.sym_prunes;
+  check_int (name ^ ": distinct logs") distinct stats.V.Dpor.distinct_logs
+
+let test_sym_split_ticket () =
+  check_sym_split "ticket 4t d8" (Ticket_lock.l0 ()) (ticket_threads 4)
+    ~runs:1550 ~sleep:389 ~sym:108 ~distinct:1535
+
+let test_sym_split_kv () =
+  let layer, threads = Ccal_kv.Kv_stack.sym_game ~shards:2 ~threads:4 () in
+  check_sym_split "kv-sym 4t d8" layer threads ~runs:36 ~sleep:7 ~sym:9
+    ~distinct:29
 
 (* ---- saturation ---- *)
 
@@ -440,51 +436,49 @@ let test_considered_saturates () =
     r.V.Dpor.stats.V.Dpor.schedules_considered;
   let rendered = Format.asprintf "%a" V.Dpor.pp_stats r.V.Dpor.stats in
   check_bool "saturated count renders as >max-int" true
-    (let needle = ">max-int" in
-     let n = String.length needle and m = String.length rendered in
-     let rec scan i =
-       i + n <= m && (String.sub rendered i n = needle || scan (i + 1))
-     in
-     scan 0)
+    (contains ~sub:">max-int" rendered)
 
 (* ---- the --strategy grammar ---- *)
 
+let accepts s expected =
+  match E.of_string s with
+  | Ok e -> check_string ("parse " ^ s) expected (E.to_string e)
+  | Error msg -> Alcotest.failf "%s rejected: %s" s msg
+
+let rejects s fragment =
+  match E.of_string s with
+  | Ok e -> Alcotest.failf "%s accepted as %s" s (E.to_string e)
+  | Error msg ->
+    check_bool
+      (Printf.sprintf "%s rejection names the problem (%S in %S)" s fragment
+         msg)
+      true (contains ~sub:fragment msg)
+
 let test_engine_of_string_accepts () =
-  let ok s expected =
-    match E.of_string s with
-    | Ok e -> check_bool ("parse " ^ s) true (E.to_string e = expected)
-    | Error msg -> Alcotest.failf "%s rejected: %s" s msg
-  in
-  ok "dpor" "dpor:4";
-  ok "dpor:7" "dpor:7";
-  ok "default" "dpor:4";
-  ok "optimal" "optimal:4";
-  ok "optimal:8,dedup,sym" "optimal:8,dedup,sym";
-  ok "optimal,sym" "optimal:4,sym";
-  ok "exhaustive:3" "exhaustive:3";
-  ok "random:5" "random:5"
+  accepts "dpor" "dpor:4";
+  accepts "dpor:7" "dpor:7";
+  accepts "default" "dpor:4";
+  accepts "dpor:8,sym" "dpor:8,sym";
+  accepts "exhaustive:3" "exhaustive:3";
+  accepts "random:5" "random:5"
 
 let test_engine_of_string_rejects () =
-  let rejects s fragment =
-    match E.of_string s with
-    | Ok e -> Alcotest.failf "%s accepted as %s" s (E.to_string e)
-    | Error msg ->
-      check_bool
-        (Printf.sprintf "%s rejection names the problem (%S in %S)" s fragment
-           msg)
-        true
-        (let n = String.length fragment and m = String.length msg in
-         let rec scan i =
-           i + n <= m && (String.sub msg i n = fragment || scan (i + 1))
-         in
-         scan 0)
-  in
-  rejects "dpor,dedup" "dedup";
   rejects "exhaustive:2,sym" "sym";
-  rejects "optimal:0" "positive";
-  rejects "optimal:x" "integer";
+  rejects "random,sym" "sym";
+  rejects "dpor,sym,sym" "duplicate";
+  rejects "dpor:0" "positive";
+  rejects "dpor:x" "integer";
   rejects "default:3" "no depth";
   rejects "frobnicate" "unknown strategy"
+
+(* [optimal] survives as a parse alias of the one walk; the [dedup] flag
+   is gone and must be refused by name, never silently ignored. *)
+let test_engine_of_string_alias_and_dedup () =
+  accepts "optimal" "dpor:4";
+  accepts "optimal:8,sym" "dpor:8,sym";
+  List.iter
+    (fun s -> rejects s "\"dedup\" was removed")
+    [ "dpor,dedup"; "optimal,dedup"; "optimal:8,dedup,sym" ]
 
 (* ---- scheduler coverage properties ---- *)
 
@@ -621,17 +615,22 @@ let suite =
     tc "split: condvar across jobs grid" test_split_condvar;
     tc "split: Llock 6 threads depth 7 (279,936 considered)"
       test_split_llock_6t_depth7;
-    tc "engine matrix: ticket (dpor/optimal/dedup vs oracle)"
+    tc "engine matrix: ticket (dpor walk, dispatched dpor/exhaustive, sym)"
       test_matrix_ticket;
     tc "engine matrix: MCS" test_matrix_mcs;
     tc "engine matrix: shared queue" test_matrix_queue;
     tc "engine matrix: rwlock" test_matrix_rwlock;
     tc "engine matrix: kv hash table" test_matrix_kv;
     tc "symmetry reduction prunes the lock game" test_sym_prunes_lock;
-    prop_dedup_never_drops_logs;
+    tc "dpor,sym split: ticket 4t d8 identical across jobs 1/2/4"
+      test_sym_split_ticket;
+    tc "dpor,sym split: kv-sym 4t d8 identical across jobs 1/2/4"
+      test_sym_split_kv;
     tc "schedules_considered saturates at max_int" test_considered_saturates;
     tc "Engine.of_string accepts the grammar" test_engine_of_string_accepts;
     tc "Engine.of_string rejects by name" test_engine_of_string_rejects;
+    tc "Engine.of_string: optimal alias, dedup removed"
+      test_engine_of_string_alias_and_dedup;
     tc "splitmix corner cases" test_splitmix_corner_cases;
     prop_splitmix_nonneg;
     prop_of_trace_follows_then_round_robin;
