@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 495
+TEST_COUNT_FLOOR := 507
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -132,7 +132,9 @@ check-tso: build
 #      naming a stable crash point (the negative control: if the
 #      certifier ever waves it through, the gate is vacuous);
 #   3. warm cache and jobs {1,4} runs print bit-identical canonical
-#      reports.
+#      reports;
+#   4. a step budget that runs out inside durable-kv reports wal as the
+#      only completed edge: a half-scanned edge is never listed.
 CRASH_CHECK_DIR := _build/ccal-crash-cache-check
 
 check-crash: build
@@ -150,6 +152,14 @@ check-crash: build
 	echo "$$out" | grep -q "crash-refinement failure" || { \
 	  echo "check-crash: REGRESSION - unsynced failure not named"; exit 1; }; \
 	echo "check-crash: OK (unsynced variant rejected: $$(echo "$$out" | grep 'crash-refinement failure' | head -1))"
+	@out=$$($(CCAL_BIN) crash --budget-steps 200); status=$$?; \
+	if [ $$status -ne 0 ]; then \
+	  echo "check-crash: REGRESSION - budgeted crash run exited $$status"; exit 1; fi; \
+	echo "$$out" | grep -q "after 1 of 2 edges" || { \
+	  echo "check-crash: REGRESSION - budgeted run did not stop after wal"; exit 1; }; \
+	if echo "$$out" | grep -q "durable-kv"; then \
+	  echo "check-crash: REGRESSION - half-scanned durable-kv edge listed"; exit 1; fi; \
+	echo "check-crash: OK (exhausted run lists completed edges only)"
 
 # The symmetry-reduction gate (DESIGN.md S31).  Three legs:
 #   1. depth-8 scaling: on the ticket game (4 threads, depth 8, events

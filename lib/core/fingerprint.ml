@@ -76,6 +76,8 @@ let prog ?(budget = 2048) st p =
    walk's [sym] reduction (DESIGN.md S31).  Probe values fed INTO
    continuations are not blinded: they are ours and identical across
    threads. *)
+let threads st ts = list (fun st (i, p) -> prog (int st i) p) st ts
+
 let prog_blind ~tid ?(budget = 2048) st p =
   let rec blind (v : Value.t) =
     match v with

@@ -77,6 +77,9 @@ val prog : ?budget:int -> state -> Prog.t -> state
     long as continuations are pure — which every program built from
     {!Prog.call}/{!Prog.bind} and every ClightX interpretation is. *)
 
+val threads : state -> (Event.tid * Prog.t) list -> state
+(** {!prog} of each thread's program, after its tid. *)
+
 val prog_blind : tid:int -> ?budget:int -> state -> Prog.t -> state
 (** Like {!prog}, but every [Vint] equal to [tid] in the structure the
     program {e emits} (call arguments, return values) is replaced by a

@@ -3,7 +3,7 @@
    A {!t} is a static spec (wall-clock ms, game steps, live heap words —
    each optional); {!start} turns it into a runtime {!token} whose
    deadline epoch is the moment of the call.  Checkers poll the token at
-   schedule granularity — between games in [Parallel.budgeted_scan],
+   schedule granularity — between games in [Check.scan],
    between moves in [Game.run] via a stop closure — and return
    [Exhausted {spent; partial}] instead of hanging or raising.
 
@@ -36,20 +36,6 @@ let make ?ms ?steps ?words () =
   let pos_f = Option.map (fun v -> if v < 0. then 0. else v) in
   let pos_i = Option.map (fun v -> if v < 0 then 0 else v) in
   { ms = pos_f ms; steps = pos_i steps; words = pos_i words }
-
-let pp fmt b =
-  if is_unlimited b then Format.pp_print_string fmt "unlimited"
-  else begin
-    let fields =
-      List.filter_map Fun.id
-        [
-          Option.map (Printf.sprintf "ms:%g") b.ms;
-          Option.map (Printf.sprintf "steps:%d") b.steps;
-          Option.map (Printf.sprintf "words:%d") b.words;
-        ]
-    in
-    Format.pp_print_string fmt (String.concat "," fields)
-  end
 
 (* What a run consumed, reported inside an [Exhausted] verdict. *)
 type spent = {
@@ -124,8 +110,6 @@ let cancel tk =
     Probe.incr budget_cancellations
   end
 
-let cancelled tk = Atomic.get tk.cancelled
-
 let charge tk n = if tk.budget.steps <> None then ignore (Atomic.fetch_and_add tk.used n)
 
 let steps_used tk = Atomic.get tk.used
@@ -178,8 +162,6 @@ let poll tk =
    then true
    else false)
   || poll_wall tk
-
-let exhausted = poll
 
 (* [settle tk n] overwrites the racy shared counter with the
    deterministic step total computed by the budgeted scan's merge pass,

@@ -25,8 +25,6 @@ val is_unlimited : t -> bool
 val make : ?ms:float -> ?steps:int -> ?words:int -> unit -> t
 (** Negative values are clamped to zero (instantly exhausted). *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Outcomes} *)
 
 type spent = {
@@ -58,13 +56,9 @@ val no_token : token
 (** A shared unlimited token — the default on [Ctx.default]; polling it
     is two atomic reads and it never trips. *)
 
-val is_unlimited_token : token -> bool
-
 val cancel : token -> unit
 (** Explicit cooperative cancellation; every poller sees it at its next
     check.  Idempotent. *)
-
-val cancelled : token -> bool
 
 val poll : token -> bool
 (** True once any budget dimension is exhausted (or {!cancel} was
@@ -74,9 +68,6 @@ val poll_wall : token -> bool
 (** Like {!poll} but ignoring the shared step counter: cancellation,
     deadline and memory only.  Used inside games, where shared-step
     exhaustion would be jobs-dependent. *)
-
-val exhausted : token -> bool
-(** Alias of {!poll}. *)
 
 val charge : token -> int -> unit
 (** Add [n] game steps to the shared counter (heuristic early-stop;

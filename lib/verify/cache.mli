@@ -8,7 +8,8 @@
     [<kind>-<fingerprint>.v<format>] in a cache directory; payloads are
     [Marshal]ed OCaml values behind a magic header.
 
-    Policies, enforced here and at the call sites:
+    Policies, enforced here and in the checker kernel's memo
+    ({!Check.memo}):
     {ul
     {- {e Failures are never cached.}  Checkers only store successful
        verdicts, so a failing edge always re-runs live and reproduces
@@ -55,7 +56,10 @@ type 'a kind
 
 val kind : string -> 'a kind
 (** [kind name] — call once per payload type, at module initialisation.
-    Raises [Invalid_argument] when [name] is already taken. *)
+    Raises [Invalid_argument] when [name] is already taken.  The name
+    carries the payload's version: a payload that changes shape takes a
+    new name (e.g. ["engine.2"]), so entries of the earlier shape miss
+    instead of being [Marshal]-read at the new type. *)
 
 val find : t -> 'a kind -> Fingerprint.t -> 'a option
 (** Look up the entry of that kind and key.  Absent entries count a

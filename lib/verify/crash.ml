@@ -21,11 +21,11 @@ open Ccal_core
 
    The checker itself is generic — the edge closures carry all knowledge
    of the WAL encoding — so the disk library can define edges without
-   this module depending on it.  Everything runs through {!Ctx}: the
-   schedule scan is a {!Parallel.budgeted_scan} (verdicts identical for
-   every jobs count, lowest-index failure wins), budgets and faults
-   apply unchanged, and successful edge reports memoize under the
-   ["crash"] cache kind. *)
+   this module depending on it.  Everything runs through the checker
+   kernel ({!Check}, DESIGN.md S33): the schedule scan is a
+   {!Check.scan} (verdicts identical for every jobs count, lowest-index
+   failure wins), successful edge reports memoize under the ["crash"]
+   cache kind, and the edges run in a {!Check.edges} loop. *)
 
 type op = { lsn : int; key : int; value : int }
 
@@ -184,20 +184,30 @@ let check_sched ~bound ?stop edge sched =
     Game.config ~max_steps:edge.max_steps ?stop edge.layer edge.threads sched
   in
   let o = Game.replay cfg in
+  let fail i (keep, tear) reason =
+    {
+      f_edge = edge.name;
+      f_sched = sched.Sched.name;
+      f_index = i;
+      f_keep = keep;
+      f_tear = tear;
+      f_reason = reason;
+    }
+  in
+  let outcome ?(points = 0) ?(recoveries = 0) failure =
+    Some
+      {
+        so_points = points;
+        so_recoveries = recoveries;
+        so_cost = o.Game.steps + recoveries;
+        so_log = o.Game.log;
+        so_failure = failure;
+      }
+  in
   match o.Game.status with
-  | Game.Cancelled -> `Interrupted
+  | Game.Cancelled -> None
   | Game.All_done ->
     let events = Log.chronological o.Game.log in
-    let fail i (keep, tear) reason =
-      {
-        f_edge = edge.name;
-        f_sched = sched.Sched.name;
-        f_index = i;
-        f_keep = keep;
-        f_tear = tear;
-        f_reason = reason;
-      }
-    in
     (* Crash points in play order: the empty start plus the position
        after every disk-state-changing event.  The first failing
        (point, keep, tear) in this deterministic order is the one
@@ -226,79 +236,47 @@ let check_sched ~bound ?stop edge sched =
           (i, prefix))
         (0, Log.empty) events
     in
-    `Checked
-      {
-        so_points = !points;
-        so_recoveries = !recoveries;
-        so_cost = o.Game.steps + !recoveries;
-        so_log = o.Game.log;
-        so_failure = !failure;
-      }
+    outcome ~points:!points ~recoveries:!recoveries !failure
   | status ->
     (* The crash-free underlay game must finish: a deadlock or stuck run
        here is an edge-construction bug, reported as a failure rather
        than silently skipped. *)
-    `Checked
-      {
-        so_points = 0;
-        so_recoveries = 0;
-        so_cost = o.Game.steps;
-        so_log = o.Game.log;
-        so_failure =
-          Some
-            {
-              f_edge = edge.name;
-              f_sched = sched.Sched.name;
-              f_index = o.Game.steps;
-              f_keep = 0;
-              f_tear = 0;
-              f_reason =
-                Format.asprintf "underlay game did not complete: %a"
-                  Game.pp_status status;
-            };
-      }
+    outcome
+      (Some
+         (fail o.Game.steps (0, 0)
+            (Format.asprintf "underlay game did not complete: %a"
+               Game.pp_status status)))
 
 (* ---- the per-edge scan ---- *)
 
 let check_edge_live ~ctx ~bound edge scheds =
-  let replay =
-    Parallel.budgeted_scan
-      ?jobs:(Ctx.jobs_opt ctx)
-      ~token:ctx.Ctx.token
-      ~cost:(function `Checked so -> so.so_cost | `Interrupted -> 0)
-      ~interrupted:(fun r -> r = `Interrupted)
-      ~cut:(fun r ->
-        match r with
-        | `Checked { so_failure = Some _; _ } -> true
-        | `Checked _ | `Interrupted -> false)
-      (fun ~stop sched -> check_sched ~bound ?stop edge sched)
-      scheds
-  in
-  let rec go schedules points recoveries logs = function
-    | [] ->
-      let distinct_logs = List.length (Log.dedup (List.rev logs)) in
-      Probe.add Probe.logs_distinct distinct_logs;
-      Ok
-        {
-          edge_name = edge.name;
-          schedules;
-          crash_points = points;
-          recoveries;
-          distinct_logs;
-          millis = 0.;
-        }
-    | `Checked { so_failure = Some f; _ } :: _ -> Error f
-    | `Checked so :: rest ->
-      go (schedules + 1) (points + so.so_points) (recoveries + so.so_recoveries)
-        (so.so_log :: logs) rest
-    | `Interrupted :: _ ->
-      (* excluded from the budgeted prefix by construction *)
-      assert false
-  in
-  let result = go 0 0 0 [] replay.Parallel.prefix in
-  if replay.Parallel.ran_out then
-    Budget.Exhausted { spent = Budget.spent ctx.Ctx.token; partial = result }
-  else Budget.Complete result
+  Check.scan ~ctx
+    ~cost:(fun so -> so.so_cost)
+    ~cut:(fun so -> Option.is_some so.so_failure)
+    (fun ~stop sched -> check_sched ~bound ?stop edge sched)
+    scheds ~init:(Ok (0, 0, 0, []))
+    (fun acc so ->
+      Result.bind acc (fun (schedules, points, recoveries, logs) ->
+          match so.so_failure with
+          | Some f -> Error f
+          | None ->
+            Ok
+              ( schedules + 1,
+                points + so.so_points,
+                recoveries + so.so_recoveries,
+                so.so_log :: logs )))
+  |> Budget.map
+       (Result.map (fun (schedules, crash_points, recoveries, logs) ->
+            let distinct_logs = List.length (Log.dedup (List.rev logs)) in
+            Probe.add Probe.logs_distinct distinct_logs;
+            {
+              edge_name = edge.name;
+              schedules;
+              crash_points;
+              recoveries;
+              distinct_logs;
+              millis = 0.;
+            }))
 
 (* Cache key of a crash edge: the underlay, the client programs, the
    schedule suite, the mask bound, the fuel, the memory mode, and the
@@ -326,51 +304,25 @@ let cache_kind : edge_report Cache.kind = Cache.kind "crash"
 let check_edge_ctx ~ctx ?(crashes = 4) edge =
   Ctx.arm ctx @@ fun () ->
   let scheds = Explore.scheds_of_strategy_ctx ~ctx edge.layer edge.threads in
-  let live () =
-    let outcome, ms =
-      Verify_clock.timed (fun () -> check_edge_live ~ctx ~bound:crashes edge scheds)
-    in
-    Budget.map (Result.map (fun e -> { e with millis = ms })) outcome
+  Check.memo ctx.Ctx.cache cache_kind
+    ~key:(lazy (edge_key ~ctx ~bound:crashes edge scheds))
+    (* failures always reproduce live, and an exhausted prefix is not the
+       verdict: neither is stored *)
+    ~keep:(function
+      | Budget.Complete (Ok e) -> Some e
+      | Budget.Complete (Error _) | Budget.Exhausted _ -> None)
+    ~hit:(fun e lookup_ms -> Budget.Complete (Ok { e with millis = lookup_ms }))
+  @@ fun () ->
+  let outcome, ms =
+    Verify_clock.timed (fun () -> check_edge_live ~ctx ~bound:crashes edge scheds)
   in
-  match ctx.Ctx.cache with
-  | None -> live ()
-  | Some c -> (
-    let key = edge_key ~ctx ~bound:crashes edge scheds in
-    let found, lookup_ms =
-      Verify_clock.timed (fun () -> Cache.find c cache_kind key)
-    in
-    match found with
-    | Some e -> Budget.Complete (Ok { e with millis = lookup_ms })
-    | None -> (
-      match live () with
-      | Budget.Complete (Ok e) as ok ->
-        Cache.store c cache_kind key e;
-        ok
-      (* Failures always reproduce live, and an exhausted prefix is not
-         the verdict — neither is stored. *)
-      | (Budget.Complete (Error _) | Budget.Exhausted _) as r -> r))
+  Budget.map (Result.map (fun e -> { e with millis = ms })) outcome
 
 let check_ctx ~ctx ?crashes edges =
   Ctx.arm ctx @@ fun () ->
-  let rec loop acc = function
-    | [] -> Budget.Complete (Ok (report_of (List.rev acc)))
-    | e :: rest ->
-      if Budget.poll ctx.Ctx.token then
-        Budget.Exhausted
-          {
-            spent = Budget.spent ctx.Ctx.token;
-            partial = Ok (report_of (List.rev acc));
-          }
-      else (
-        match check_edge_ctx ~ctx ?crashes e with
-        | Budget.Complete (Ok er) -> loop (er :: acc) rest
-        | Budget.Complete (Error f) -> Budget.Complete (Error f)
-        | Budget.Exhausted { spent; partial } ->
-          let partial =
-            match partial with
-            | Ok er -> Ok (report_of (List.rev (er :: acc)))
-            | Error f -> Error f
-          in
-          Budget.Exhausted { spent; partial })
-  in
-  loop [] edges
+  Budget.map
+    (Result.map (fun (done_, _frontier) -> report_of done_))
+    (Check.edges ~ctx
+       ~name:(fun e -> e.name)
+       (fun e -> Check.finished (check_edge_ctx ~ctx ?crashes e))
+       edges)

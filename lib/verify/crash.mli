@@ -106,4 +106,6 @@ val check_ctx :
   ?crashes:int ->
   edge list ->
   (report, failure) result Budget.outcome
-(** Certify the edges in order, polling the budget between edges. *)
+(** Certify the edges in order with {!Check.edges}, polling the budget
+    between edges.  An [Exhausted] report lists only the edges that
+    completed: an edge the budget stopped mid-scan is left out. *)

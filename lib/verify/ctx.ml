@@ -1,12 +1,15 @@
 (* The unified checker context (DESIGN.md S27).
 
-   PR 2–4 grew the checkers a long tail of optional arguments — [?jobs],
-   [?cache], [?strategy], stats toggles — and later PRs added budget and
-   fault knobs on top.  Rather than widen every signature again, the
-   knobs live in one record threaded uniformly through every checker
-   entry point ([Races.check_ctx], [Linearizability.refine_ctx],
-   [Progress.completes_within_ctx], [Dpor.explore_ctx],
-   [Explore.run_all_ctx], [Stack.verify_all_ctx]). *)
+   The checkers once grew a long tail of optional arguments — [?jobs],
+   [?cache], [?strategy], stats toggles, then budget and fault knobs.
+   Rather than widen every signature again, the knobs live in one record
+   threaded uniformly through every checker entry point
+   ([Races.check_ctx], [Linearizability.refine_ctx]/[check_ctx],
+   [Progress.completes_within_ctx], [Crash.check_edge_ctx]/[check_ctx],
+   [Dpor.explore_ctx], [Explore.run_all_ctx], [Stack.verify_all_ctx],
+   [Kv_stack.verify_ctx]).  Each of them scans, memoizes and loops over
+   edges through the checker kernel, {!Check} (DESIGN.md S33), which
+   reads [jobs], [cache] and [token] from here. *)
 
 module Engine = Ccal_core.Strategy.Engine
 
@@ -45,7 +48,6 @@ let default =
    running the checker. *)
 let with_jobs jobs t = { t with jobs = max 1 jobs }
 let with_cache cache t = { t with cache = Some cache }
-let without_cache t = { t with cache = None }
 let with_strategy strategy t = { t with strategy = Engine.checked strategy }
 let with_memory memory t = { t with memory }
 let with_budget budget t = { t with budget; token = Budget.start budget }
@@ -74,11 +76,3 @@ let jobs_opt t = if t.jobs <= 1 then None else Some t.jobs
 (* [arm ctx f] runs [f] with the context's fault plan armed; every
    checker entry point wraps its body in this. *)
 let arm t f = Fault.with_plan t.faults f
-
-let pp fmt t =
-  Format.fprintf fmt "jobs:%d cache:%s strategy:%s memory:%s budget:%a faults:%a"
-    t.jobs
-    (match t.cache with Some c -> Cache.dir c | None -> "off")
-    (Engine.to_string t.strategy)
-    (Ccal_core.Memory.to_string t.memory)
-    Budget.pp t.budget Fault.pp t.faults

@@ -56,7 +56,6 @@ val make :
 
 val with_jobs : int -> t -> t
 val with_cache : Cache.t -> t -> t
-val without_cache : t -> t
 
 val with_strategy : Engine.t -> t -> t
 (** Select the exploration engine.  Validates the descriptor
@@ -86,5 +85,3 @@ val jobs_opt : t -> int option
 val arm : t -> (unit -> 'a) -> 'a
 (** Run a thunk with the context's fault plan armed ({!Fault.with_plan}).
     Every [*_ctx] checker entry point wraps its body in this. *)
-
-val pp : Format.formatter -> t -> unit

@@ -150,11 +150,7 @@ let suite_key ?private_fuel ~engine ~independence ~memory ~depth layer threads =
   in
   let st = Fingerprint.layer st layer in
   let st = Fingerprint.memory st memory in
-  let st =
-    Fingerprint.list
-      (fun st (i, p) -> Fingerprint.prog (Fingerprint.int st i) p)
-      st threads
-  in
+  let st = Fingerprint.threads st threads in
   let st = Fingerprint.int st depth in
   let st =
     Fingerprint.int st (match independence with Exact -> 1 | Commuting_events -> 2)
@@ -358,34 +354,25 @@ let walk_live ?private_fuel ~independence ~sym ?jobs ~memory ~depth layer
     List.concat_map fst parts, tally
   end
 
-(* [walk] is the only reader and writer of the ["engine"] entries.  The
-   payload keeps its (scheduler tag, prefixes, counters) shape so entries
-   written by earlier releases stay readable: their three-counter record
-   (sleep, dedup, sym) reads back as this two-counter one, which is exact
-   for [dpor:N] keys, whose dedup and sym counts are always 0. *)
-let engine_kind : (string * Event.tid list list * walk_stats) Cache.kind =
-  Cache.kind "engine"
+(* [walk] is the only reader and writer of the ["engine.2"] entries: the
+   surviving prefixes and the prune counters of the walk. *)
+let engine_kind : (Event.tid list list * walk_stats) Cache.kind =
+  Cache.kind "engine.2"
 
 let walk ?private_fuel ~independence ?jobs ?cache ~memory ~engine ~depth layer
     threads =
   if engine.Engine.algo <> Engine.Dpor then
     invalid_arg ("Dpor.walk: not a DPOR engine: " ^ Engine.to_string engine);
-  let body () =
-    walk_live ?private_fuel ~independence ~sym:engine.Engine.sym ?jobs ~memory
-      ~depth layer threads
-  in
-  match cache with
-  | None -> body ()
-  | Some c -> (
-    let key =
-      suite_key ?private_fuel ~engine ~independence ~memory ~depth layer threads
-    in
-    match Cache.find c engine_kind key with
-    | Some (_tag, prefixes, stats) -> prefixes, stats
-    | None ->
-      let prefixes, stats = body () in
-      Cache.store c engine_kind key ("dpor", prefixes, stats);
-      prefixes, stats)
+  Check.memo cache engine_kind
+    ~key:
+      (lazy
+        (suite_key ?private_fuel ~engine ~independence ~memory ~depth layer
+           threads))
+    ~keep:Option.some
+    ~hit:(fun walked _ -> walked)
+  @@ fun () ->
+  walk_live ?private_fuel ~independence ~sym:engine.Engine.sym ?jobs ~memory
+    ~depth layer threads
 
 (* Content-bearing names, not the default "trace": the certificate cache
    identifies a scheduler suite by its names, so two suites of different
@@ -445,47 +432,42 @@ let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?engine
     Probe.span "dpor.prefixes" (fun () ->
         walk_ctx ~ctx ?private_fuel ~independence ?engine ~depth layer threads)
   in
-  let replay =
-    Probe.span "dpor.replay" (fun () ->
-        Parallel.budgeted_scan ?jobs:(Ctx.jobs_opt ctx) ~token:ctx.Ctx.token
-          ~cost:(fun o -> o.Game.steps)
-          ~interrupted:(fun o -> o.Game.status = Game.Cancelled)
-          ~cut:(fun _ -> false)
-          (fun ~stop p ->
-            Game.replay
-              (Game.config ?max_steps ?stop ~memory:ctx.Ctx.memory layer
-                 threads (sched_of_prefix ~tag:"dpor" p)))
-          prefixes)
-  in
-  let outcomes = replay.Parallel.prefix in
-  let logs = List.map (fun o -> o.Game.log) outcomes in
-  let representative =
-    match independence with
-    | Exact -> logs
-    | Commuting_events -> List.map canonical_log logs
-  in
-  let schedules_considered = pow (List.length threads) depth in
-  let distinct_logs =
-    Probe.span "dpor.dedup" (fun () -> List.length (Log.dedup representative))
-  in
-  Probe.add Probe.sleep_set_prunes walk_stats.sleep_prunes;
-  Probe.add Probe.logs_distinct distinct_logs;
-  let result =
-    {
-      prefixes;
-      outcomes;
-      stats =
-        {
-          schedules_considered;
-          schedules_run = replay.Parallel.scanned;
-          schedules_pruned =
-            max 0 (schedules_considered - List.length prefixes);
-          sleep_set_prunes = walk_stats.sleep_prunes;
-          sym_prunes = walk_stats.sym_prunes;
-          distinct_logs;
-        };
-    }
-  in
-  if replay.Parallel.ran_out then
-    Budget.Exhausted { spent = Budget.spent ctx.Ctx.token; partial = result }
-  else Budget.Complete result
+  Budget.map
+    (fun rev_outcomes ->
+      let outcomes = List.rev rev_outcomes in
+      let logs = List.map (fun o -> o.Game.log) outcomes in
+      let representative =
+        match independence with
+        | Exact -> logs
+        | Commuting_events -> List.map canonical_log logs
+      in
+      let schedules_considered = pow (List.length threads) depth in
+      let distinct_logs =
+        Probe.span "dpor.dedup" (fun () ->
+            List.length (Log.dedup representative))
+      in
+      Probe.add Probe.sleep_set_prunes walk_stats.sleep_prunes;
+      Probe.add Probe.logs_distinct distinct_logs;
+      {
+        prefixes;
+        outcomes;
+        stats =
+          {
+            schedules_considered;
+            schedules_run = List.length outcomes;
+            schedules_pruned =
+              max 0 (schedules_considered - List.length prefixes);
+            sleep_set_prunes = walk_stats.sleep_prunes;
+            sym_prunes = walk_stats.sym_prunes;
+            distinct_logs;
+          };
+      })
+    (Probe.span "dpor.replay" (fun () ->
+         Check.scan ~ctx
+           ~cost:(fun o -> o.Game.steps)
+           (fun ~stop p ->
+             Check.game
+               (Game.config ?max_steps ?stop ~memory:ctx.Ctx.memory layer
+                  threads (sched_of_prefix ~tag:"dpor" p)))
+           prefixes ~init:[]
+           (fun acc o -> o :: acc)))

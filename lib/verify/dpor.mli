@@ -91,7 +91,7 @@ val explore_ctx :
     frontier splits into independent subtrees, with or without [sym]) —
     prefixes, outcomes, and stats are identical for every jobs count.
     [ctx.cache] memoizes the walk (prefixes + prune counters) under kind
-    ["engine"]; the replay phase always runs live, so failures reproduce
+    ["engine.2"]; the replay phase always runs live, so failures reproduce
     from the real game.
 
     The walk itself is never budgeted (depth-bounded and cheap); the

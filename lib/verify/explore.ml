@@ -49,52 +49,34 @@ let runall_key ?max_steps ~memory layer threads scheds =
   let st = Fingerprint.string Fingerprint.empty "runall" in
   let st = Fingerprint.layer st layer in
   let st = Fingerprint.memory st memory in
-  let st =
-    Fingerprint.list
-      (fun st (i, p) -> Fingerprint.prog (Fingerprint.int st i) p)
-      st threads
-  in
+  let st = Fingerprint.threads st threads in
   let st = Fingerprint.scheds st scheds in
   Fingerprint.finish (Fingerprint.option Fingerprint.int st max_steps)
 
 let run_all_ctx ~ctx ?max_steps layer threads scheds =
   Ctx.arm ctx @@ fun () ->
-  let body () =
-    Probe.span "explore.run_all" (fun () ->
-        Parallel.budgeted_scan
-          ?jobs:(Ctx.jobs_opt ctx)
-          ~token:ctx.Ctx.token
-          ~cost:(fun o -> o.Game.steps)
-          ~interrupted:(fun o -> o.Game.status = Game.Cancelled)
-          ~cut:(fun _ -> false)
-          (fun ~stop sched ->
-            Game.replay
-              (Game.config ?max_steps ?stop ~memory:ctx.Ctx.memory layer
-                 threads sched))
-          scheds)
-  in
-  let finish (b : Game.outcome Parallel.budgeted) =
-    if b.Parallel.ran_out then
-      Budget.Exhausted
-        { spent = Budget.spent ctx.Ctx.token; partial = b.Parallel.prefix }
-    else Budget.Complete b.Parallel.prefix
-  in
-  match ctx.Ctx.cache with
-  | None -> finish (body ())
-  | Some c -> (
-    let key = runall_key ?max_steps ~memory:ctx.Ctx.memory layer threads scheds in
-    match Cache.find c runall_kind key with
-    | Some outcomes -> Budget.Complete outcomes
-    | None -> (
-      match finish (body ()) with
-      | Budget.Complete outcomes as r ->
-        (* Only fully clean, fully explored corpora are stored: any
-           non-[All_done] status is a (potential) failure and must always
-           reproduce live, and an exhausted prefix is not the corpus. *)
-        if List.for_all (fun o -> o.Game.status = Game.All_done) outcomes
-        then Cache.store c runall_kind key outcomes;
-        r
-      | Budget.Exhausted _ as r -> r))
+  Check.memo ctx.Ctx.cache runall_kind
+    ~key:(lazy (runall_key ?max_steps ~memory:ctx.Ctx.memory layer threads scheds))
+    (* Only fully clean, fully explored corpora are stored: any
+       non-[All_done] status is a (potential) failure and must always
+       reproduce live, and an exhausted prefix is not the corpus. *)
+    ~keep:(function
+      | Budget.Complete outcomes
+        when List.for_all (fun o -> o.Game.status = Game.All_done) outcomes ->
+        Some outcomes
+      | Budget.Complete _ | Budget.Exhausted _ -> None)
+    ~hit:(fun outcomes _ -> Budget.Complete outcomes)
+  @@ fun () ->
+  Budget.map List.rev
+    (Probe.span "explore.run_all" (fun () ->
+         Check.scan ~ctx
+           ~cost:(fun o -> o.Game.steps)
+           (fun ~stop sched ->
+             Check.game
+               (Game.config ?max_steps ?stop ~memory:ctx.Ctx.memory layer
+                  threads sched))
+           scheds ~init:[]
+           (fun acc o -> o :: acc)))
 
 let all_logs outcomes = List.map (fun o -> o.Game.log) outcomes
 

@@ -74,20 +74,6 @@ let parse s =
     (Ok { none with seed = 1 })
     (String.split_on_char ',' s)
 
-let pp fmt p =
-  if is_none p then Format.pp_print_string fmt "none"
-  else begin
-    let field name r rest =
-      if r > 0. then Printf.sprintf "%s:%g" name r :: rest else rest
-    in
-    Format.fprintf fmt "%s,seed:%d"
-      (String.concat ","
-         (field "crash" p.crash
-            (field "corrupt-cache" p.corrupt
-               (field "skew" p.skew (field "oversize" p.oversize [])))))
-      p.seed
-  end
-
 (* ------------------------------------------------------------------ *)
 (* the armed plan                                                      *)
 (* ------------------------------------------------------------------ *)

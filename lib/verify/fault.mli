@@ -36,8 +36,6 @@ val parse : string -> (plan, string) result
     kinds [crash], [corrupt-cache], [skew], [oversize], plus an optional
     [seed:N] — e.g. ["crash:0.1,corrupt-cache:0.05,seed:7"]. *)
 
-val pp : Format.formatter -> plan -> unit
-
 val with_plan : plan -> (unit -> 'a) -> 'a
 (** [with_plan p f] arms [p] process-wide while [f] runs, restoring the
     previously armed plan afterwards (exceptions included).  Arming

@@ -6,52 +6,38 @@ type report = {
   events : int;
 }
 
-(* Parallel counterpart of {!Refinement.check}: evaluate the per-schedule
-   body over the {!Parallel} pool, then fold the ordered results exactly as
-   the sequential loop does — the reported failure (if any) is the
-   lowest-indexed failing schedule, so the result is identical for every
+(* Parallel counterpart of {!Refinement.check}: the lowest-indexed
+   failing schedule is reported, so the result is identical for every
    jobs count.  The budget is charged the underlay event count of each
-   schedule (a deterministic proxy for its work); an interrupted underlay
-   game truncates the scan into an [Exhausted] outcome. *)
+   schedule (a deterministic proxy for its work). *)
 let refine_live ~ctx ?max_steps ?expect_all_done ~underlay ~impl ~overlay
     ~rel ~client ~tids ~scheds () =
-  let cost = function
-    | `Checked (Ok (l, _)) -> Log.length l
-    | `Checked (Error (f : Refinement.failure)) ->
-      Log.length f.Refinement.under_log
-    | `Interrupted -> 0
+  let finish (n, logs, translated) =
+    {
+      Refinement.scheds_checked = n;
+      logs = List.rev logs;
+      translated = List.rev translated;
+    }
   in
-  let replay =
-    Parallel.budgeted_scan
-      ?jobs:(Ctx.jobs_opt ctx)
-      ~token:ctx.Ctx.token ~cost
-      ~interrupted:(fun r -> match r with `Interrupted -> true | _ -> false)
-      ~cut:(fun r -> match r with `Checked (Error _) -> true | _ -> false)
-      (fun ~stop sched ->
-        Refinement.check_sched_stop ?max_steps ?expect_all_done ?stop
-          ~memory:ctx.Ctx.memory ~underlay ~impl ~overlay ~rel ~client ~tids
-          sched)
-      scheds
-  in
-  let rec go scheds_checked logs translated = function
-    | [] ->
-      Ok
-        {
-          Refinement.scheds_checked;
-          logs = List.rev logs;
-          translated = List.rev translated;
-        }
-    | `Checked (Ok (l, lt)) :: rest ->
-      go (scheds_checked + 1) (l :: logs) (lt :: translated) rest
-    | `Checked (Error (f : Refinement.failure)) :: _ -> Error f
-    | `Interrupted :: _ ->
-      (* excluded from the budgeted prefix by construction *)
-      assert false
-  in
-  let report = go 0 [] [] replay.Parallel.prefix in
-  if replay.Parallel.ran_out then
-    Budget.Exhausted { spent = Budget.spent ctx.Ctx.token; partial = report }
-  else Budget.Complete report
+  Budget.map
+    (Result.map finish)
+    (Check.scan ~ctx
+       ~cost:(function
+         | Ok (l, _) -> Log.length l
+         | Error (f : Refinement.failure) -> Log.length f.Refinement.under_log)
+       ~cut:Result.is_error
+       (fun ~stop sched ->
+         match
+           Refinement.check_sched_stop ?max_steps ?expect_all_done ?stop
+             ~memory:ctx.Ctx.memory ~underlay ~impl ~overlay ~rel ~client ~tids
+             sched
+         with
+         | `Checked r -> Some r
+         | `Interrupted -> None)
+       scheds ~init:(Ok (0, [], []))
+       (fun acc r ->
+         Result.bind acc (fun (n, logs, translated) ->
+             Result.map (fun (l, lt) -> (n + 1, l :: logs, lt :: translated)) r)))
 
 (* Cache key of a refinement scan: both machine interfaces, the
    implementation bodies, the relation (by name), the client workload on
@@ -89,35 +75,21 @@ let report_hash (r : Refinement.report) =
 let refine_ctx ~ctx ?max_steps ?expect_all_done ~underlay ~impl ~overlay
     ~rel ~client ~tids ~scheds () =
   Ctx.arm ctx @@ fun () ->
-  let live () =
-    refine_live ~ctx ?max_steps ?expect_all_done ~underlay ~impl ~overlay
-      ~rel ~client ~tids ~scheds ()
-  in
-  match ctx.Ctx.cache with
-  | None -> live ()
-  | Some c -> (
-    let key =
-      refine_key ?max_steps ?expect_all_done ~memory:ctx.Ctx.memory ~underlay
-        ~impl ~overlay ~rel ~client ~tids ~scheds ()
-    in
-    let run_and_store () =
-      match live () with
-      | Budget.Complete (Ok report) as ok ->
-        Cache.store c refine_kind key
-          { report; log_hash = report_hash report };
-        ok
-      (* Refinement failures always re-run live, and an exhausted prefix
-         is not the report — neither is stored. *)
-      | (Budget.Complete (Error _) | Budget.Exhausted _) as r -> r
-    in
-    match Cache.find c refine_kind key with
-    | Some { report; log_hash }
-      when Fingerprint.equal (report_hash report) log_hash ->
-      Budget.Complete (Ok report)
-    | Some _ ->
-      Cache.invalidate c refine_kind key;
-      run_and_store ()
-    | None -> run_and_store ())
+  Check.memo ctx.Ctx.cache refine_kind
+    ~key:
+      (lazy
+        (refine_key ?max_steps ?expect_all_done ~memory:ctx.Ctx.memory
+           ~underlay ~impl ~overlay ~rel ~client ~tids ~scheds ()))
+    ~valid:(fun { report; log_hash } ->
+      Fingerprint.equal (report_hash report) log_hash)
+    ~keep:(function
+      | Budget.Complete (Ok report) ->
+        Some { report; log_hash = report_hash report }
+      | Budget.Complete (Error _) | Budget.Exhausted _ -> None)
+    ~hit:(fun { report; _ } _ -> Budget.Complete (Ok report))
+  @@ fun () ->
+  refine_live ~ctx ?max_steps ?expect_all_done ~underlay ~impl ~overlay ~rel
+    ~client ~tids ~scheds ()
 
 let refine_cert_ctx ~ctx ?max_steps ?expect_all_done (cert : Calculus.cert)
     ~client ~scheds =

@@ -31,11 +31,9 @@ val refine_ctx :
   unit ->
   (Refinement.report, Refinement.failure) result Budget.outcome
 (** Drop-in parallel {!Refinement.check}: the per-schedule body
-    ({!Refinement.check_sched_stop}) is evaluated over a {!Parallel}
-    domain pool and the ordered results folded as the sequential loop
-    would — the report (or lowest-indexed failure) is structurally
-    identical for every [ctx.jobs] count, and [jobs = 1] (the default)
-    stays on the sequential path.  [ctx.cache] memoizes successful
+    ({!Refinement.check_sched_stop}) is folded by {!Check.scan} — the
+    report (or lowest-indexed failure) is structurally identical for
+    every [ctx.jobs] count.  [ctx.cache] memoizes successful
     reports, keyed on both interfaces, the implementation, the relation
     name, the client workload, and the suite identity; the stored entry
     records the hash of its logs and is invalidated (and re-run) if it

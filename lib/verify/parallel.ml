@@ -26,8 +26,9 @@
      have been evaluated, which is what makes the merge equal to the
      sequential scan.
    - [~jobs:1] (and empty/singleton job lists) bypass the pool entirely:
-     no domains, no atomics — the sequential code path is the oracle the
-     parallel one is tested against.
+     no domains, no claims — the merge walk evaluates every index inline,
+     and that sequential path is the oracle the parallel one is tested
+     against.
 
    Determinism caveat (DESIGN.md S24): parallelism changes wall-clock
    only, never a certificate judgment.  Anything nondeterministic would be
@@ -335,7 +336,7 @@ let release busy =
   Mutex.unlock registry_mutex
 
 (* ------------------------------------------------------------------ *)
-(* deterministic scan / map                                            *)
+(* job cells and the inline fault chain                                *)
 (* ------------------------------------------------------------------ *)
 
 type 'b cell =
@@ -355,84 +356,6 @@ let eval_faulted i f x =
     go 0
   end
 
-let sequential_scan ~cut f xs =
-  let rec go i acc = function
-    | [] -> List.rev acc
-    | x :: rest ->
-      let y = eval_faulted i f x in
-      if cut y then List.rev (y :: acc) else go (i + 1) (y :: acc) rest
-  in
-  go 0 [] xs
-
-let scan ?jobs ~cut f xs =
-  let jobs = match jobs with Some j -> max 1 j | None -> 1 in
-  let n = List.length xs in
-  if jobs <= 1 || n <= 1 then sequential_scan ~cut f xs
-  else
-    match acquire (min jobs n) with
-    | None -> sequential_scan ~cut f xs
-    | Some (pool, busy) ->
-      let arr = Array.of_list xs in
-      let cells = Array.make n Empty in
-      (* Telemetry counters bumped inside a job body go to a per-job
-         capture delta, not the globals: under [jobs > 1] workers may
-         evaluate indices past the final cut — indices a sequential scan
-         never runs — so direct bumps would overcount.  The merge below
-         commits the deltas of exactly the surviving prefix, in index
-         order, keeping every counter total bit-identical to [~jobs:1]. *)
-      let deltas = Array.make n None in
-      let cut_mark = Atomic.make max_int in
-      let run i ~attempt =
-        if Fault.crash ~index:i ~attempt then `Crashed
-        else begin
-          deltas.(i) <-
-            Ccal_core.Probe.captured (fun () ->
-                match f arr.(i) with
-                | v ->
-                  cells.(i) <- Value v;
-                  if cut v then atomic_min cut_mark i
-                | exception e ->
-                  cells.(i) <- Raised (e, Printexc.get_raw_backtrace ());
-                  atomic_min cut_mark i);
-          `Done
-        end
-      in
-      let b =
-        {
-          run;
-          next = Atomic.make 0;
-          chunk = max 1 (min 32 (n / (pool.size * 4)));
-          limit = n;
-          cut = cut_mark;
-          retry = Atomic.make [];
-          give_up = (fun () -> false);
-        }
-      in
-      Fun.protect
-        ~finally:(fun () -> release busy)
-        (fun () ->
-          Ccal_core.Probe.span "pool.batch" (fun () -> run_calibrated pool b));
-      (* Merge: walk the prefix up to and including the least cut index.
-         Every slot in that prefix was evaluated (workers only skip
-         indices strictly above the low-water mark, and crashed attempts
-         are requeued until one lands), so the result is the sequential
-         scan's, independent of completion order. *)
-      let last = min (n - 1) (Atomic.get cut_mark) in
-      for i = 0 to last do
-        Ccal_core.Probe.commit deltas.(i)
-      done;
-      let rec collect i acc =
-        if i > last then List.rev acc
-        else
-          match cells.(i) with
-          | Value v -> collect (i + 1) (v :: acc)
-          | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-          | Empty -> assert false (* all indices <= cut are evaluated *)
-      in
-      collect 0 []
-
-let map ?jobs f xs = scan ?jobs ~cut:(fun _ -> false) f xs
-
 (* The recommended jobs count, derived from a measured scaling curve
    rather than [Domain.recommended_domain_count] (which reflects the host,
    not the workload): the jobs value with the highest measured speedup,
@@ -449,26 +372,23 @@ let recommend_domains curve =
          (j0, s0) rest)
 
 (* ------------------------------------------------------------------ *)
-(* budgeted scan                                                       *)
+(* the budgeted scan: the one pool path                                *)
 (* ------------------------------------------------------------------ *)
 
 type 'b budgeted = {
   prefix : 'b list;  (** surviving outcomes, in index order *)
-  scanned : int;  (** [List.length prefix] *)
-  total : int;  (** number of jobs submitted *)
-  steps_counted : int;  (** deterministic cumulative cost over the prefix *)
   ran_out : bool;  (** the scan stopped because the budget ran out *)
 }
 
-(* The deterministic truncation rules, shared verbatim by the sequential
-   oracle and the pool's merge pass (DESIGN.md S27).  Walking indices in
+(* The deterministic truncation rules of the merge walk, which is also
+   the whole sequential scan (DESIGN.md S27).  Walking indices in
    order with the cumulative cost [cum] of the included prefix:
 
    - stop (exhausted) before index [i] once [cum >= allowance], where
      [allowance] is the token's remaining step budget captured at scan
      entry — a pure function of the inputs, since every earlier scan
      [settle]d the token;
-   - stop (exhausted) at [i] when its outcome is [interrupted] — with a
+   - stop (exhausted) at [i] when the body returned [None] — with a
      step budget this means the game alone overran the allowance, which
      is deterministic; a deadline or cancellation can also interrupt,
      and those are wall-clock events allowed to move the prefix;
@@ -478,60 +398,45 @@ type 'b budgeted = {
    The shared token is charged live by workers purely as an early-stop
    heuristic ([give_up]); [Budget.settle] overwrites it with the
    deterministic total afterwards. *)
-let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
+let budgeted_scan ?jobs ~token ~cost ~cut f xs =
   let n = List.length xs in
   let base = Budget.steps_used token in
   let allowance = Budget.steps_remaining token in
   let jobs = match jobs with Some j -> max 1 j | None -> 1 in
   let arr = Array.of_list xs in
-  let eval_raw i = f ~stop:(Budget.game_stop token ~allowance) arr.(i) in
-  let eval i = eval_faulted i (fun _ -> eval_raw i) arr.(i) in
-  let finish ~ran_out prefix scanned cum =
-    Budget.settle token (base + cum);
-    if ran_out then Budget.note_ran_out token;
-    { prefix = List.rev prefix; scanned; total = n; steps_counted = cum; ran_out }
+  let cells = Array.make (if jobs > 1 && n > 1 then n else 0) Empty in
+  let deltas = Array.make (Array.length cells) None in
+  let cut_mark = Atomic.make max_int in
+  (* Evaluate one job into a cell.  Uninjected on the pool, where the
+     crash decision is made per claim (below) and drives the requeue
+     machinery; inline evaluation replays the attempt chain instead. *)
+  let eval ~faulted i =
+    let stop = Budget.game_stop token ~allowance in
+    match
+      if faulted then eval_faulted i (fun x -> f ~stop x) arr.(i)
+      else f ~stop arr.(i)
+    with
+    | v ->
+      Option.iter (fun v -> Budget.charge token (cost v)) v;
+      Value v
+    | exception e -> Raised (e, Printexc.get_raw_backtrace ())
   in
-  let sequential () =
-    let rec go i cum acc =
-      if i >= n then finish ~ran_out:false acc i cum
-      else if cum >= allowance then finish ~ran_out:true acc i cum
-      else if Budget.poll_wall token then finish ~ran_out:true acc i cum
-      else begin
-        let v = eval i in
-        Budget.charge token (cost v);
-        if interrupted v then finish ~ran_out:true acc i cum
-        else if cut v then finish ~ran_out:false (v :: acc) (i + 1) (cum + cost v)
-        else go (i + 1) (cum + cost v) (v :: acc)
-      end
-    in
-    go 0 0 []
-  in
-  if n = 0 then finish ~ran_out:false [] 0 0
-  else if jobs <= 1 || n <= 1 then sequential ()
-  else
+  let pooled =
+    Array.length cells > 0
+    &&
     match acquire (min jobs n) with
-    | None -> sequential ()
+    | None -> false
     | Some (pool, busy) ->
-      let cells = Array.make n Empty in
-      let deltas = Array.make n None in
-      let cut_mark = Atomic.make max_int in
-      (* [body] evaluates uninjected: in the pool path the crash decision
-         is made per claim (below), driving the requeue machinery; only
-         the merge's hole-filling replays the inline attempt chain. *)
-      let body ~faulted i () =
-        match (if faulted then eval i else eval_raw i) with
-        | v ->
-          cells.(i) <- Value v;
-          Budget.charge token (cost v);
-          if cut v || interrupted v then atomic_min cut_mark i
-        | exception e ->
-          cells.(i) <- Raised (e, Printexc.get_raw_backtrace ());
-          atomic_min cut_mark i
-      in
       let run i ~attempt =
         if Fault.crash ~index:i ~attempt then `Crashed
         else begin
-          deltas.(i) <- Ccal_core.Probe.captured (body ~faulted:false i);
+          deltas.(i) <-
+            Ccal_core.Probe.captured (fun () ->
+                let c = eval ~faulted:false i in
+                cells.(i) <- c;
+                match c with
+                | Value (Some v) when not (cut v) -> ()
+                | Value _ | Raised _ | Empty -> atomic_min cut_mark i);
           `Done
         end
       in
@@ -550,32 +455,56 @@ let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
         ~finally:(fun () -> release busy)
         (fun () ->
           Ccal_core.Probe.span "pool.batch" (fun () -> run_calibrated pool b));
-      (* Deterministic merge: same walk as [sequential], over the cells.
-         Holes — indices skipped because a worker gave up on the racy
-         heuristic — are filled by evaluating inline, capture and all, so
-         the committed counter stream is identical to the oracle's. *)
-      let fill i = deltas.(i) <- Ccal_core.Probe.captured (body ~faulted:true i) in
-      let rec walk i cum acc =
-        if i >= n then finish ~ran_out:false acc i cum
-        else if cum >= allowance then finish ~ran_out:true acc i cum
-        else begin
-          (match cells.(i) with
-          | Empty ->
-            (* don't start new work past a tripped deadline; an
-               already-evaluated cell still gets included below *)
-            if not (Budget.poll_wall token) then fill i
-          | Value _ | Raised _ -> ());
-          match cells.(i) with
-          | Empty -> finish ~ran_out:true acc i cum
-          | Raised (e, bt) ->
-            Ccal_core.Probe.commit deltas.(i);
-            Printexc.raise_with_backtrace e bt
-          | Value v ->
-            Ccal_core.Probe.commit deltas.(i);
-            if interrupted v then finish ~ran_out:true acc i cum
-            else if cut v then
-              finish ~ran_out:false (v :: acc) (i + 1) (cum + cost v)
-            else walk (i + 1) (cum + cost v) (v :: acc)
-        end
-      in
-      walk 0 0 []
+      true
+  in
+  (* The outcome at index [i] for the merge walk.  Holes — every index
+     when nothing ran on a pool ([~jobs:1], a single job, or a busy pool:
+     the sequential oracle), and indices a worker skipped when it gave
+     up on the racy heuristic — are evaluated inline, in index order; on
+     the pool path with capture and all, so the committed counter stream
+     is identical to the oracle's.  No new work starts past a tripped
+     deadline; an already-evaluated cell is still included. *)
+  let cell i =
+    match if pooled then cells.(i) else Empty with
+    | (Value _ | Raised _) as c -> c
+    | Empty when Budget.poll_wall token -> Empty
+    | Empty when pooled ->
+      deltas.(i) <-
+        Ccal_core.Probe.captured (fun () -> cells.(i) <- eval ~faulted:true i);
+      cells.(i)
+    | Empty -> eval ~faulted:true i
+  in
+  let commit i = if pooled then Ccal_core.Probe.commit deltas.(i) in
+  let finish ~ran_out prefix cum =
+    Budget.settle token (base + cum);
+    if ran_out then Budget.note_ran_out token;
+    { prefix = List.rev prefix; ran_out }
+  in
+  let rec walk i cum acc =
+    if i >= n then finish ~ran_out:false acc cum
+    else if cum >= allowance then finish ~ran_out:true acc cum
+    else
+      match cell i with
+      | Empty -> finish ~ran_out:true acc cum
+      | Raised (e, bt) ->
+        commit i;
+        Printexc.raise_with_backtrace e bt
+      | Value None ->
+        commit i;
+        finish ~ran_out:true acc cum
+      | Value (Some v) ->
+        commit i;
+        if cut v then finish ~ran_out:false (v :: acc) (cum + cost v)
+        else walk (i + 1) (cum + cost v) (v :: acc)
+  in
+  walk 0 0 []
+
+(* The unbudgeted scan and map are the budgeted scan under the shared
+   unlimited token: it never trips, so the prefix runs to the first cut. *)
+let scan ?jobs ~cut f xs =
+  (budgeted_scan ?jobs ~token:Budget.no_token ~cost:(fun _ -> 0) ~cut
+     (fun ~stop:_ x -> Some (f x))
+     xs)
+    .prefix
+
+let map ?jobs f xs = scan ?jobs ~cut:(fun _ -> false) f xs

@@ -36,8 +36,8 @@ val scan : ?jobs:int -> cut:('b -> bool) -> ('a -> 'b) -> 'a list -> 'b list
     would — all results up to and including the {e lowest-indexed} job
     satisfying [cut] — regardless of the order in which domains finish.
     Once a cut is pinned, chunks wholly above it are cancelled rather than
-    evaluated.  This is how every checker reports the failure of the
-    lowest-indexed schedule, identical to the sequential fold. *)
+    evaluated.  [scan] and {!map} are {!budgeted_scan} under
+    {!Budget.no_token}: there is one pool path. *)
 
 val recommend_domains : (int * float) list -> int
 (** [recommend_domains curve] derives the jobs count to recommend from a
@@ -51,9 +51,6 @@ val recommend_domains : (int * float) list -> int
 
 type 'b budgeted = {
   prefix : 'b list;  (** surviving outcomes, in index order *)
-  scanned : int;  (** [List.length prefix] *)
-  total : int;  (** number of jobs submitted *)
-  steps_counted : int;  (** deterministic cumulative cost over the prefix *)
   ran_out : bool;  (** the scan stopped because the budget ran out *)
 }
 
@@ -61,15 +58,15 @@ val budgeted_scan :
   ?jobs:int ->
   token:Budget.token ->
   cost:('b -> int) ->
-  interrupted:('b -> bool) ->
   cut:('b -> bool) ->
-  (stop:(unit -> bool) option -> 'a -> 'b) ->
+  (stop:(unit -> bool) option -> 'a -> 'b option) ->
   'a list ->
   'b budgeted
 (** {!scan} under a {!Budget.token} (DESIGN.md S27).  The body receives a
-    per-job stop closure to thread into [Game.config]; [cost] extracts a
-    job's step cost from its outcome and [interrupted] recognises an
-    outcome cut short by the stop closure (e.g. [Game.Cancelled]).
+    per-job stop closure to thread into [Game.config] and returns [None]
+    when that closure cut its game short (e.g. [Game.Cancelled]); [cost]
+    extracts a job's step cost from its outcome.  Checkers reach this
+    through [Check.scan].
 
     Determinism: with a {e step} budget, the returned prefix is a pure
     function of the inputs — every job gets the same private step
@@ -80,8 +77,7 @@ val budgeted_scan :
     wall-clock events and may move the truncation point, never a
     completed outcome.  On return the token is {!Budget.settle}d with the
     deterministic total, so stacked scans compose.  Injected worker
-    crashes (see {!Fault}) are absorbed by the pool's requeue path in
-    this scan and in {!scan}/{!map}. *)
+    crashes (see {!Fault}) are absorbed by the pool's requeue path. *)
 
 type stats = {
   batches : int;  (** batches submitted to any pool *)

@@ -6,32 +6,26 @@ type bound_report = {
   bound : int;
 }
 
-(* Per-schedule body, handed to the {!Parallel} pool: the completed run's
-   step count, the failure message, or the mark that the budget's stop
-   closure interrupted the game mid-run.  Paired with the raw step count
-   so the budgeted scan can charge actual game cost. *)
+(* Per-schedule body: the completed run's step count or the failure
+   message, paired with the raw step count the scan charges; [None] when
+   the budget's stop closure interrupted the game mid-run. *)
 let check_sched ~bound layer threads ~stop sched =
   let outcome =
     Game.replay (Game.config ~max_steps:bound ?stop layer threads sched)
   in
-  let r =
-    match outcome.Game.status with
-    | Game.All_done -> `Done outcome.Game.steps
-    | Game.Cancelled -> `Interrupted
-    | Game.Deadlock ids ->
-      `Failed
-        (Printf.sprintf "deadlock among threads %s under %s"
-           (String.concat "," (List.map string_of_int ids))
-           sched.Sched.name)
-    | Game.Stuck (i, _, msg) ->
-      `Failed
-        (Printf.sprintf "thread %d stuck under %s: %s" i sched.Sched.name msg)
-    | Game.Out_of_fuel ->
-      `Failed
-        (Printf.sprintf "run under %s exceeded the progress bound of %d moves"
-           sched.Sched.name bound)
-  in
-  (outcome.Game.steps, r)
+  let fail fmt = Printf.ksprintf (fun m -> Some (outcome.Game.steps, Error m)) fmt in
+  match outcome.Game.status with
+  | Game.All_done -> Some (outcome.Game.steps, Ok outcome.Game.steps)
+  | Game.Cancelled -> None
+  | Game.Deadlock ids ->
+    fail "deadlock among threads %s under %s"
+      (String.concat "," (List.map string_of_int ids))
+      sched.Sched.name
+  | Game.Stuck (i, _, msg) ->
+    fail "thread %d stuck under %s: %s" i sched.Sched.name msg
+  | Game.Out_of_fuel ->
+    fail "run under %s exceeded the progress bound of %d moves"
+      sched.Sched.name bound
 
 let completes_within_ctx ~ctx ?scheds ~bound layer threads =
   Ctx.arm ctx @@ fun () ->
@@ -40,28 +34,17 @@ let completes_within_ctx ~ctx ?scheds ~bound layer threads =
     | Some s -> s
     | None -> Explore.scheds_of_strategy_ctx ~ctx layer threads
   in
-  let replay =
-    Parallel.budgeted_scan
-      ?jobs:(Ctx.jobs_opt ctx)
-      ~token:ctx.Ctx.token ~cost:fst
-      ~interrupted:(fun (_, r) ->
-        match r with `Interrupted -> true | _ -> false)
-      ~cut:(fun (_, r) -> match r with `Failed _ -> true | _ -> false)
-      (check_sched ~bound layer threads)
-      scheds
-  in
-  let rec go runs worst = function
-    | [] -> Ok { runs; max_steps_used = worst; bound }
-    | (_, `Done steps) :: rest -> go (runs + 1) (max worst steps) rest
-    | (_, `Failed msg) :: _ -> Error msg
-    | (_, `Interrupted) :: _ ->
-      (* excluded from the budgeted prefix by construction *)
-      assert false
-  in
-  let report = go 0 0 replay.Parallel.prefix in
-  if replay.Parallel.ran_out then
-    Budget.Exhausted { spent = Budget.spent ctx.Ctx.token; partial = report }
-  else Budget.Complete report
+  Check.scan ~ctx ~cost:fst
+    ~cut:(fun (_, r) -> Result.is_error r)
+    (check_sched ~bound layer threads)
+    scheds
+    ~init:(Ok { runs = 0; max_steps_used = 0; bound })
+    (fun acc (_, r) ->
+      Result.bind acc (fun a ->
+          Result.map
+            (fun steps ->
+              { a with runs = a.runs + 1; max_steps_used = max a.max_steps_used steps })
+            r))
 
 let lock_of (e : Event.t) =
   match e.args with

@@ -19,68 +19,60 @@ type verdict =
   | Other_failure of string
   | Exhausted of { spent : Budget.spent; partial : partial }
 
-(* The per-schedule body: pure in the sense that it touches only its own
-   game state, so the pool can evaluate schedules on any domain. *)
 type sched_outcome =
   | Clean
   | Racy of { sched_name : string; detail : string; log : Log.t }
   | Other of string
-  | Interrupted  (** the game hit the budget's stop closure mid-run *)
 
+(* [None] when the budget's stop closure cancelled the game. *)
 let classify sched outcome =
+  let racy detail =
+    Some (Racy { sched_name = sched.Sched.name; detail; log = outcome.Game.log })
+  in
   match outcome.Game.status with
-  | Game.Stuck (_, Layer.Data_race, msg) ->
-    Racy { sched_name = sched.Sched.name; detail = msg; log = outcome.Game.log }
+  | Game.Cancelled -> None
+  | Game.Stuck (_, Layer.Data_race, msg) -> racy msg
   | Game.Stuck (i, Layer.Invalid_transition, msg) ->
-    Other (Printf.sprintf "thread %d stuck (not a race): %s" i msg)
+    Some (Other (Printf.sprintf "thread %d stuck (not a race): %s" i msg))
   | Game.Deadlock ids ->
-    Other
-      (Printf.sprintf "deadlock among threads %s"
-         (String.concat "," (List.map string_of_int ids)))
-  | Game.Out_of_fuel -> Other "out of fuel"
-  | Game.Cancelled -> Interrupted
+    Some
+      (Other
+         (Printf.sprintf "deadlock among threads %s"
+            (String.concat "," (List.map string_of_int ids))))
+  | Game.Out_of_fuel -> Some (Other "out of fuel")
   | Game.All_done ->
-    if Ccal_machine.Pushpull.race_free outcome.Game.log then Clean
-    else
-      Racy
-        {
-          sched_name = sched.Sched.name;
-          detail = "completed log fails push/pull replay";
-          log = outcome.Game.log;
-        }
+    if Ccal_machine.Pushpull.race_free outcome.Game.log then Some Clean
+    else racy "completed log fails push/pull replay"
 
+(* The per-schedule body: pure in the sense that it touches only its own
+   game state, so the pool can evaluate schedules on any domain. *)
 let eval ?max_steps ?memory layer threads ~stop sched =
   Probe.incr Probe.race_checks;
   let outcome =
     Game.replay (Game.config ?max_steps ?stop ?memory layer threads sched)
   in
-  (outcome.Game.steps, classify sched outcome)
+  Option.map (fun o -> (outcome.Game.steps, o)) (classify sched outcome)
 
-(* Deterministic merge.  A race anywhere wins (the lowest-indexed one —
-   [Parallel.budgeted_scan] guarantees the outcome list is the sequential
-   prefix up to and including the first [Racy]); non-race failures such as
-   one adversarial schedule running out of fuel no longer abort the scan,
-   they are collected and reported only when no schedule exposes a race. *)
-let merge outcomes =
-  let rec go runs others = function
-    | Racy { sched_name; detail; log } :: _ -> Race { sched_name; detail; log }
-    | Other msg :: rest -> go runs (msg :: others) rest
-    | Clean :: rest -> go (runs + 1) others rest
-    | Interrupted :: _ ->
-      (* never merged: an interrupted outcome is excluded from the
-         budgeted prefix and reported as [Exhausted] instead *)
-      assert false
-    | [] -> (
-      match List.rev others with
-      | [] -> Race_free { runs }
-      | first :: more ->
-        Other_failure
-          (if more = [] then first
-           else
-             Printf.sprintf "%s (+%d further non-race failures, %d clean runs)"
-               first (List.length more) runs))
-  in
-  go 0 [] outcomes
+(* The scan's fold.  A race anywhere wins (the lowest-indexed one: it
+   cuts the scan); non-race failures such as one adversarial schedule
+   running out of fuel do not abort the scan, they are collected
+   (newest first) and reported only when no schedule exposes a race. *)
+let step acc (_, o) =
+  match acc, o with
+  | Error _, _ -> acc
+  | Ok p, Clean -> Ok { p with scanned = p.scanned + 1; clean = p.clean + 1 }
+  | Ok p, Other m -> Ok { p with scanned = p.scanned + 1; others = m :: p.others }
+  | Ok _, Racy { sched_name; detail; log } -> Error (Race { sched_name; detail; log })
+
+let verdict_of p =
+  match p.others with
+  | [] -> Race_free { runs = p.clean }
+  | first :: more ->
+    Other_failure
+      (if more = [] then first
+       else
+         Printf.sprintf "%s (+%d further non-race failures, %d clean runs)"
+           first (List.length more) p.clean)
 
 (* Cache key: game identity plus the suite identity.  When the suite is
    implicit the key uses the strategy descriptor — deliberately, so a
@@ -89,11 +81,7 @@ let check_key ?max_steps ~suite ~memory layer threads =
   let st = Fingerprint.string Fingerprint.empty "races" in
   let st = Fingerprint.layer st layer in
   let st = Fingerprint.memory st memory in
-  let st =
-    Fingerprint.list
-      (fun st (i, p) -> Fingerprint.prog (Fingerprint.int st i) p)
-      st threads
-  in
+  let st = Fingerprint.threads st threads in
   let st =
     match suite with
     | `Scheds ss -> Fingerprint.scheds (Fingerprint.int st 1) ss
@@ -102,91 +90,59 @@ let check_key ?max_steps ~suite ~memory layer threads =
   in
   Fingerprint.finish (Fingerprint.option Fingerprint.int st max_steps)
 
-(* A resumed scan replays what the partial already knows as synthetic
-   outcomes before merging the new ones; the merge only counts cleans and
-   collects others in order, so the final verdict — message included — is
-   byte-identical to a from-scratch run. *)
-let synthetic (p : partial) =
-  List.init p.clean (fun _ -> Clean) @ List.map (fun m -> Other m) p.others
-
 let check_ctx ~ctx ?max_steps ?scheds ?resume layer threads =
   Ctx.arm ctx @@ fun () ->
-  let run resume =
+  let key =
+    lazy
+      (let suite =
+         match scheds with
+         | Some ss -> `Scheds ss
+         | None -> `Strategy ctx.Ctx.strategy
+       in
+       check_key ?max_steps ~suite ~memory:ctx.Ctx.memory layer threads)
+  in
+  (* A resumed scan starts its fold from what the partial already knows;
+     the fold only counts cleans and collects others in order, so the
+     final verdict — message included — is byte-identical to a
+     from-scratch run. *)
+  let run (start : partial) =
     let all_scheds =
       match scheds with
       | Some s -> s
       | None -> Explore.scheds_of_strategy_ctx ~ctx layer threads
     in
-    let skip, syn =
-      match resume with
-      | None -> (0, [])
-      | Some p -> (p.scanned, synthetic p)
-    in
-    let todo = List.filteri (fun i _ -> i >= skip) all_scheds in
-    let replay =
-      Parallel.budgeted_scan
-        ?jobs:(Ctx.jobs_opt ctx)
-        ~token:ctx.Ctx.token ~cost:fst
-        ~interrupted:(fun (_, o) ->
-          match o with Interrupted -> true | _ -> false)
-        ~cut:(fun (_, o) -> match o with Racy _ -> true | _ -> false)
-        (fun ~stop sched ->
-          eval ?max_steps ~memory:ctx.Ctx.memory layer threads ~stop sched)
-        todo
-    in
-    let outcomes = List.map snd replay.Parallel.prefix in
-    if replay.Parallel.ran_out then begin
-      let clean0, others0 =
-        match resume with None -> (0, []) | Some p -> (p.clean, p.others)
-      in
-      let partial =
-        {
-          scanned = skip + replay.Parallel.scanned;
-          clean =
-            clean0
-            + List.length
-                (List.filter (function Clean -> true | _ -> false) outcomes);
-          others =
-            others0
-            @ List.filter_map
-                (function Other m -> Some m | _ -> None)
-                outcomes;
-        }
-      in
-      Exhausted { spent = Budget.spent ctx.Ctx.token; partial }
-    end
-    else merge (syn @ outcomes)
+    let in_order p = { p with others = List.rev p.others } in
+    match
+      Check.scan ~ctx ~cost:fst
+        ~cut:(fun (_, o) -> match o with Racy _ -> true | Clean | Other _ -> false)
+        (eval ?max_steps ~memory:ctx.Ctx.memory layer threads)
+        (List.filteri (fun i _ -> i >= start.scanned) all_scheds)
+        ~init:(Ok (in_order start)) step
+    with
+    | Budget.Complete (Ok p) -> verdict_of (in_order p)
+    | Budget.Exhausted { spent; partial = Ok p } ->
+      Exhausted { spent; partial = in_order p }
+    | Budget.Complete (Error v) | Budget.Exhausted { partial = Error v; _ } -> v
   in
+  let fresh = { scanned = 0; clean = 0; others = [] } in
+  Check.memo ctx.Ctx.cache verdict_kind ~key
+    ~keep:(function Race_free { runs } -> Some runs | _ -> None)
+    ~hit:(fun runs _ -> Race_free { runs })
+  @@ fun () ->
   match ctx.Ctx.cache with
-  | None -> run resume
-  | Some c -> (
-    let suite =
-      match scheds with
-      | Some ss -> `Scheds ss
-      | None -> `Strategy ctx.Ctx.strategy
+  | None -> run (Option.value resume ~default:fresh)
+  | Some c ->
+    let key = Lazy.force key in
+    (* No full verdict cached: a stashed partial from an earlier
+       exhausted run is the implicit resume point. *)
+    let resume =
+      match resume with Some _ -> resume | None -> Cache.find c partial_kind key
     in
-    let key = check_key ?max_steps ~suite ~memory:ctx.Ctx.memory layer threads in
-    match Cache.find c verdict_kind key with
-    | Some runs -> Race_free { runs }
-    | None -> (
-      (* No full verdict cached: a stashed partial from an earlier
-         exhausted run is the implicit resume point. *)
-      let resume =
-        match resume with
-        | Some _ -> resume
-        | None -> Cache.find c partial_kind key
-      in
-      match run resume with
-      | Race_free { runs } as v ->
-        Cache.store c verdict_kind key runs;
-        Cache.invalidate c partial_kind key;
-        v
-      (* Races and other failures are never stored: they must always
-         reproduce live, counterexample log and all.  Their partial is
-         stale once the full scan finished, so it goes too. *)
-      | (Race _ | Other_failure _) as v ->
-        Cache.invalidate c partial_kind key;
-        v
-      | Exhausted { partial; _ } as v ->
-        Cache.store c partial_kind key partial;
-        v))
+    let v = run (Option.value resume ~default:fresh) in
+    (match v with
+    | Exhausted { partial; _ } -> Cache.store c partial_kind key partial
+    (* Races and other failures are never stored (they must always
+       reproduce live, counterexample log and all), and a finished scan
+       makes the partial stale. *)
+    | Race_free _ | Race _ | Other_failure _ -> Cache.invalidate c partial_kind key);
+    v

@@ -73,16 +73,6 @@ let timed f =
   let r, ms = Verify_clock.timed f in
   (r, ms, Probe.diff_counters before (Probe.counters ()))
 
-(* Fold a [Parallel.scan]-produced prefix of per-schedule linking results
-   back into the sequential count-or-first-error shape. *)
-let fold_linking results =
-  let rec go n = function
-    | [] -> Ok n
-    | Ok () :: rest -> go (n + 1) rest
-    | (Error _ as e) :: _ -> e
-  in
-  go 0 results
-
 let vi = Value.int
 
 (* The client workloads of the game-driving edges, shared between the
@@ -122,15 +112,48 @@ let ipc_client i =
         Prog.call "recv" [ vi 5 ]; Prog.call Thread_sched.exit_tag [] ]
 
 (* ------------------------------------------------------------------ *)
-(* Edge fingerprints.
+(* The stack as data.
 
-   One key per edge, covering exactly what that edge's verdict depends
+   One record per edge: its name, its kind, the fold of its cache key
+   and its run.  The key covers exactly what the edge's verdict depends
    on: the ClightX sources of the objects it certifies (via
    [Csyntax.fp_fn] — the structural hash, so editing one object module
    invalidates exactly the edges whose key folds it in), the layer
    interfaces, the client workloads, and — for the game-driving edges
-   only — the scheduler-suite identity (seeds or strategy).  [jobs] is
-   never part of a key: verdicts are identical across jobs counts. *)
+   only — the scheduler-suite identity (seeds or strategy).  The name
+   and the memory mode open every key, so a verdict computed under SC is
+   never served for a TSO query.  [jobs] is never part of a key:
+   verdicts are identical across jobs counts.  An edge without a key
+   (the adversarial one: its verdict is a budget demonstration, not a
+   cacheable fact) always runs live. *)
+
+type kind = [ `Cert of Calculus.rule_name | `Linking | `Soundness | `Adversarial ]
+
+type spec = {
+  name : string;
+  kind : kind;
+  key : (Fingerprint.state -> Fingerprint.state) option;
+  run : unit -> (int, string) result option * float * (string * int) list;
+      (** the edge's check count, [None] when the budget stopped it, with
+          its {!timed} time and counter growth *)
+}
+
+(* The two interchangeable spinlock implementations (Sec. 6). *)
+module type LOCK = sig
+  val l0 : ?memory:Memory.t -> unit -> Layer.t
+  val overlay : ?bound:int -> unit -> Layer.t
+  val acq_fn : Ccal_clight.Csyntax.fn
+  val rel_fn : Ccal_clight.Csyntax.fn
+  val c_module : unit -> Prog.Module.t
+
+  val certify :
+    ?max_moves:int -> ?memory:Memory.t -> ?focus:Event.tid list ->
+    ?use_asm:bool -> unit -> (Calculus.cert, Calculus.error) result
+end
+
+let lock_impl = function
+  | `Ticket -> "ticket", (module Ticket_lock : LOCK)
+  | `Mcs -> "mcs", (module Mcs_lock : LOCK)
 
 let fp_fns st fns = List.fold_left Ccal_clight.Csyntax.fp_fn st fns
 
@@ -139,42 +162,81 @@ let fp_placement st p =
     (fun st (t, c) -> Fingerprint.int (Fingerprint.int st t) c)
     st p
 
-let edge_keys ~lock ~seeds ~strategy ~memory =
+let edge_key ~memory name fold =
+  Fingerprint.finish
+    (fold
+       (Fingerprint.memory
+          (Fingerprint.string
+             (Fingerprint.string Fingerprint.empty "stack-edge")
+             name)
+          memory))
+
+(* Edge bodies compute in [('a, string) result option]: [None] when the
+   budget stopped an inner checker. *)
+let ( let* ) r f =
+  match r with Some (Ok v) -> f v | Some (Error e) -> Some (Error e) | None -> None
+
+let cert r = Some (Result.map_error (Format.asprintf "%a" Calculus.pp_error) r)
+let checks c = Some (Ok (Calculus.count_checks c))
+
+let refined outcome =
+  Option.map
+    (Result.fold
+       ~ok:(fun r -> Ok r.Refinement.scheds_checked)
+       ~error:(fun f -> Error (Format.asprintf "%a" Refinement.pp_failure f)))
+    (Check.finished outcome)
+
+(* A linking theorem checked schedule by schedule: the count of
+   schedules, or the first failure.  The checks take no stop closure, so
+   they cost nothing against a step budget; a deadline or a cancel
+   still stops the scan between schedules. *)
+let linking ~ctx check scheds =
+  Check.finished
+    (Check.scan ~ctx ~cost:(fun _ -> 0) ~cut:Result.is_error
+       (fun ~stop:_ sched -> Some (check sched))
+       scheds ~init:(Ok 0)
+       (fun acc r -> Result.bind acc (fun n -> Result.map (fun () -> n + 1) r)))
+
+let adversarial_edge_name =
+  "Lrwlock spin suite under adversarial schedules (livelock)"
+
+let specs ~ctx ~lock ~seeds ~strategy ~adversarial =
+  let memory = ctx.Ctx.memory in
+  let lock_name, (module L : LOCK) = lock_impl lock in
   let suite st =
     match strategy with
     | None -> Fingerprint.string (Fingerprint.int st 1) (Printf.sprintf "seeds:%d" seeds)
     | Some s ->
       Fingerprint.string (Fingerprint.int st 2) (Ctx.Engine.to_string s)
   in
-  (* The memory mode is part of EVERY edge key — even the edges whose
-     underlay is already an atomic interface — so a verdict computed
-     under SC is never served for a TSO query (or vice versa). *)
-  let base name =
-    Fingerprint.memory
-      (Fingerprint.string (Fingerprint.string Fingerprint.empty "stack-edge") name)
-      memory
+  (* With an explicit strategy, every game-driving edge derives its
+     scheduler suite from the edge's own game (DPOR must walk the game it
+     will replay); without one, the seeded default suite is used.  The
+     strategy-carrying context shares this call's token and cache, so the
+     walk stays under the same budget. *)
+  let scheds_for layer threads =
+    match strategy with
+    | None -> Sched.default_suite ~seeds
+    | Some s ->
+      Explore.scheds_of_strategy_ctx ~ctx:(Ctx.with_strategy s ctx) layer
+        threads
   in
-  let lock_name = match lock with `Ticket -> "ticket" | `Mcs -> "mcs" in
-  let lock_fns =
-    match lock with
-    | `Ticket -> [ Ticket_lock.acq_fn; Ticket_lock.rel_fn ]
-    | `Mcs -> [ Mcs_lock.acq_fn; Mcs_lock.rel_fn ]
+  let cert_scheds_for (cert : Calculus.cert) client =
+    let j = cert.Calculus.judgment in
+    scheds_for j.Calculus.underlay
+      (List.map
+         (fun i -> i, Prog.Module.link j.Calculus.impl (client i))
+         j.Calculus.focus)
   in
-  let lock_l0 =
-    match lock with
-    | `Ticket -> Ticket_lock.l0 ~memory ()
-    | `Mcs -> Mcs_lock.l0 ~memory ()
+  let lock_threads () =
+    let m = L.c_module () in
+    [ 1, lock_client m 1; 2, lock_client m 2 ]
   in
-  let lock_overlay =
-    match lock with
-    | `Ticket -> Ticket_lock.overlay ()
-    | `Mcs -> Mcs_lock.overlay ()
-  in
-  let lock_m =
-    match lock with
-    | `Ticket -> Ticket_lock.c_module ()
-    | `Mcs -> Mcs_lock.c_module ()
-  in
+  let faa_threads = [ 1, faa_round 1; 2, faa_round 2 ] in
+  let queue_threads = [ 1, queue_client 1; 2, queue_client 2 ] in
+  let mt_threads = [ 1, mt_prog 1; 2, mt_prog 2; 3, mt_prog 3 ] in
+  let ipc_threads = [ 1, ipc_client 1; 2, ipc_client 2 ] in
+  let mt_layer () = Thread_sched.mt_layer mt_placement (Lock_intf.layer "Llock") in
   let queue_fns =
     [ Ticket_lock.acq_fn; Ticket_lock.rel_fn; Queue_shared.enq_fn;
       Queue_shared.deq_fn ]
@@ -183,486 +245,267 @@ let edge_keys ~lock ~seeds ~strategy ~memory =
     [ Ipc.send_fn; Ipc.recv_fn; Condvar.cv_wait_fn; Condvar.cv_signal_fn;
       Condvar.cv_broadcast_fn ]
   in
-  let fp_threads st threads =
-    Fingerprint.list
-      (fun st (i, p) -> Fingerprint.prog (Fingerprint.int st i) p)
-      st threads
+  let lock_key st =
+    let st = fp_fns (Fingerprint.string st lock_name) [ L.acq_fn; L.rel_fn ] in
+    Fingerprint.layer (Fingerprint.layer st (L.l0 ~memory ())) (L.overlay ())
   in
-  let e1 =
-    let st = base "Mx86 refines Lx86[D] (Thm 3.1)" in
-    let st = Fingerprint.layer st (Ccal_machine.Tso.machine_layer memory) in
-    let st = fp_threads st [ 1, faa_round 1; 2, faa_round 2 ] in
-    Fingerprint.finish (suite st)
+  let queue_key st =
+    let st = Fingerprint.layer (fp_fns st queue_fns) (Ticket_lock.l0 ~memory ()) in
+    Fingerprint.layer st (Queue_shared.overlay ())
   in
-  let e2 =
-    let st = base (Printf.sprintf "L0 |- M_%s : Llock (Fun)" lock_name) in
-    let st = Fingerprint.string st lock_name in
-    let st = fp_fns st lock_fns in
-    let st = Fingerprint.layer st lock_l0 in
-    Fingerprint.finish (Fingerprint.layer st lock_overlay)
+  let ipc_key st = Fingerprint.layer (fp_fns st ipc_fns) (Ipc.overlay ()) in
+  (* The certificate of edges 4 and 5, built once: a cache hit on edge 4
+     leaves edge 5 to build it, outside its timed window. *)
+  let stack_cert =
+    lazy
+      (Result.map_error (Format.asprintf "%a" Calculus.pp_error)
+         (Queue_shared.full_stack_certify ~memory ()))
   in
-  let e3 =
-    let st = base "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)" in
-    let st = Fingerprint.string st lock_name in
-    let st = fp_fns st lock_fns in
-    let st = Fingerprint.layer st lock_l0 in
-    let st = Fingerprint.layer st lock_overlay in
-    let st = fp_threads st [ 1, lock_client lock_m 1; 2, lock_client lock_m 2 ] in
-    Fingerprint.finish (suite st)
-  in
-  let e4 =
-    let st = base "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)" in
-    let st = fp_fns st queue_fns in
-    let st = Fingerprint.layer st (Ticket_lock.l0 ~memory ()) in
-    Fingerprint.finish (Fingerprint.layer st (Queue_shared.overlay ()))
-  in
-  let e5 =
-    let st = base "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)" in
-    let st = fp_fns st queue_fns in
-    let st = Fingerprint.layer st (Ticket_lock.l0 ~memory ()) in
-    let st = Fingerprint.layer st (Queue_shared.overlay ()) in
-    let st = fp_threads st [ 1, queue_client 1; 2, queue_client 2 ] in
-    Fingerprint.finish (suite st)
-  in
-  let e6 =
-    let st = base "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)" in
-    let st = fp_placement st mt_placement in
-    let st =
-      Fingerprint.layer st
-        (Thread_sched.mt_layer mt_placement (Lock_intf.layer "Llock"))
-    in
-    let st = fp_threads st [ 1, mt_prog 1; 2, mt_prog 2; 3, mt_prog 3 ] in
-    Fingerprint.finish (suite st)
-  in
-  let e7 =
-    let st = base "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)" in
-    let st = fp_fns st [ Qlock.acq_q_fn; Qlock.rel_q_fn ] in
-    Fingerprint.finish (Fingerprint.layer st (Qlock.overlay ()))
-  in
-  let e8 =
-    let st = base "Lmt(spin+cv) |- M_ipc : Lipc (Fun)" in
-    let st = fp_fns st ipc_fns in
-    Fingerprint.finish (Fingerprint.layer st (Ipc.overlay ()))
-  in
-  let e9 =
-    let st = base "[[producer|consumer]] refines Lipc (blocking paths)" in
-    let st = fp_fns st ipc_fns in
-    let st = Fingerprint.layer st (Ipc.overlay ()) in
-    let st = fp_placement st ipc_placement in
-    let st = fp_threads st [ 1, ipc_client 1; 2, ipc_client 2 ] in
-    Fingerprint.finish (suite st)
-  in
-  let e10 =
-    let st = base "Llock |- M_rwlock : Lrwlock (Fun, extension)" in
-    let st =
-      fp_fns st
-        [ Rwlock.acq_r_fn; Rwlock.rel_r_fn; Rwlock.acq_w_fn; Rwlock.rel_w_fn ]
-    in
-    Fingerprint.finish (Fingerprint.layer st (Rwlock.overlay ()))
-  in
+  let measured f () = timed f in
   [
-    "Mx86 refines Lx86[D] (Thm 3.1)", e1;
-    Printf.sprintf "L0 |- M_%s : Llock (Fun)" lock_name, e2;
-    "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)", e3;
-    "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)", e4;
-    "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)", e5;
-    "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)", e6;
-    "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)", e7;
-    "Lmt(spin+cv) |- M_ipc : Lipc (Fun)", e8;
-    "[[producer|consumer]] refines Lipc (blocking paths)", e9;
-    "Llock |- M_rwlock : Lrwlock (Fun, extension)", e10;
+    (* 1. multicore linking over the hardware machine of the mode *)
+    {
+      name = "Mx86 refines Lx86[D] (Thm 3.1)";
+      kind = `Linking;
+      key =
+        Some
+          (fun st ->
+            suite
+              (Fingerprint.threads
+                 (Fingerprint.layer st (Ccal_machine.Tso.machine_layer memory))
+                 faa_threads));
+      run =
+        measured (fun () ->
+            let check sched =
+              match memory with
+              | Memory.Sc ->
+                Ccal_machine.Mx86.check_multicore_linking_sched
+                  ~threads:faa_threads sched
+              | Memory.Tso ->
+                Ccal_machine.Tso.check_multicore_linking_sched
+                  ~threads:faa_threads sched
+            in
+            linking ~ctx check
+              (scheds_for (Ccal_machine.Tso.machine_layer memory) faa_threads));
+    };
+    (* 2. spinlock certificate *)
+    {
+      name = Printf.sprintf "L0 |- M_%s : Llock (Fun)" lock_name;
+      kind = `Cert Calculus.Fun;
+      key = Some lock_key;
+      run = measured (fun () -> let* c = cert (L.certify ~memory ~focus:[ 1; 2 ] ()) in checks c);
+    };
+    (* 3. parallel composition of per-thread lock certificates, over the
+       compat corpus: logs from contention games *)
+    {
+      name = "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)";
+      kind = `Cert Calculus.Pcomp;
+      key = Some (fun st -> suite (Fingerprint.threads (lock_key st) (lock_threads ())));
+      run =
+        measured (fun () ->
+            let* c1 = cert (L.certify ~memory ~focus:[ 1 ] ()) in
+            let* c2 = cert (L.certify ~memory ~focus:[ 2 ] ()) in
+            let layer = L.l0 ~memory () and threads = lock_threads () in
+            let* outcomes =
+              Option.map Result.ok
+                (Check.finished
+                   (Explore.run_all_ctx ~ctx layer threads
+                      (scheds_for layer threads)))
+            in
+            let* p =
+              cert
+                (Calculus.pcomp c1 c2
+                   ~compat_logs:(List.map (fun o -> o.Game.log) outcomes))
+            in
+            checks p);
+    };
+    (* 4. shared queue over the lock: vertical composition *)
+    {
+      name = "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)";
+      kind = `Cert Calculus.Vcomp;
+      key = Some queue_key;
+      run = measured (fun () -> let* c = Some (Lazy.force stack_cert) in checks c);
+    };
+    (* 5. queue soundness game: its time and counters cover the game only *)
+    {
+      name = "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)";
+      kind = `Soundness;
+      key = Some (fun st -> suite (Fingerprint.threads (queue_key st) queue_threads));
+      run =
+        (fun () ->
+          match Lazy.force stack_cert with
+          | Error e -> (Some (Error e), 0., [])
+          | Ok sc ->
+            timed (fun () ->
+                refined
+                  (Linearizability.refine_cert_ctx ~ctx sc ~client:queue_client
+                     ~scheds:(cert_scheds_for sc queue_client))));
+    };
+    (* 6. multithreaded linking over the scheduler *)
+    {
+      name = "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)";
+      kind = `Linking;
+      key =
+        Some
+          (fun st ->
+            suite
+              (Fingerprint.threads
+                 (Fingerprint.layer (fp_placement st mt_placement) (mt_layer ()))
+                 mt_threads));
+      run =
+        measured (fun () ->
+            let layer = mt_layer () in
+            linking ~ctx
+              (Thread_sched.check_multithreaded_linking_sched
+                 ~placement:mt_placement ~layer ~threads:mt_threads)
+              (scheds_for layer mt_threads));
+    };
+    (* 7. queuing lock *)
+    {
+      name = "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)";
+      kind = `Cert Calculus.Fun;
+      key =
+        Some
+          (fun st ->
+            Fingerprint.layer
+              (fp_fns st [ Qlock.acq_q_fn; Qlock.rel_q_fn ])
+              (Qlock.overlay ()));
+      run = measured (fun () -> let* c = cert (Qlock.certify ()) in checks c);
+    };
+    (* 8. IPC channel over condition variables *)
+    {
+      name = "Lmt(spin+cv) |- M_ipc : Lipc (Fun)";
+      kind = `Cert Calculus.Fun;
+      key = Some ipc_key;
+      run = measured (fun () -> let* c = cert (Ipc.certify ()) in checks c);
+    };
+    (* 9. IPC producer/consumer soundness including the blocking paths *)
+    {
+      name = "[[producer|consumer]] refines Lipc (blocking paths)";
+      kind = `Soundness;
+      key =
+        Some
+          (fun st ->
+            suite (Fingerprint.threads (fp_placement (ipc_key st) ipc_placement) ipc_threads));
+      run =
+        measured (fun () ->
+            let* c = cert (Ipc.certify ~placement:ipc_placement ~focus:[ 1; 2 ] ()) in
+            refined
+              (Linearizability.refine_cert_ctx ~ctx c ~client:ipc_client
+                 ~scheds:(cert_scheds_for c ipc_client)));
+    };
+    (* 10. reader-writer lock: a synchronization library added on top of
+       the existing lock layer without touching it *)
+    {
+      name = "Llock |- M_rwlock : Lrwlock (Fun, extension)";
+      kind = `Cert Calculus.Fun;
+      key =
+        Some
+          (fun st ->
+            Fingerprint.layer
+              (fp_fns st
+                 [ Rwlock.acq_r_fn; Rwlock.rel_r_fn; Rwlock.acq_w_fn;
+                   Rwlock.rel_w_fn ])
+              (Rwlock.overlay ()));
+      run = measured (fun () -> let* c = cert (Rwlock.certify ()) in checks c);
+    };
   ]
+  @
+  if not adversarial then []
+  else
+    [
+      (* 11 (opt-in). the spinning rwlock implementation under the
+         trace-prefix suite: the spin retry loop phase-locks with
+         [of_trace]'s round-robin degradation (the writer's turn always
+         lands while a reader holds the underlay lock), so these games
+         livelock to the fuel limit — the workload that demonstrates
+         budgets turning a hang into an [Exhausted] report.  Stuckness
+         and deadlock fail the edge; burning all fuel does not. *)
+      {
+        name = adversarial_edge_name;
+        kind = `Adversarial;
+        key = None;
+        run =
+          measured (fun () ->
+              let layer = Rwlock.underlay () in
+              let spin p = Prog.Module.link (Rwlock.c_module ()) p in
+              let reader =
+                spin (Prog.seq (Prog.call "acq_r" [ vi 4 ]) (Prog.call "rel_r" [ vi 4 ]))
+              in
+              let writer =
+                spin (Prog.seq (Prog.call "acq_w" [ vi 4 ]) (Prog.call "rel_w" [ vi 4 ]))
+              in
+              let threads = [ 1, reader; 2, reader; 3, writer ] in
+              let failed = function
+                | Game.Stuck _ | Game.Deadlock _ -> true
+                | Game.All_done | Game.Out_of_fuel | Game.Cancelled -> false
+              in
+              (* 3^5 schedules, each burning 200k moves of fuel: more
+                 than any budget the gates set.  Only each game's status
+                 and cost are kept — a fuel-bound log is megabytes, and
+                 the scan may finish hundreds. *)
+              Check.finished
+                (Check.scan ~ctx ~cost:snd
+                   ~cut:(fun (s, _) -> failed s)
+                   (fun ~stop sched ->
+                     Option.map
+                       (fun o -> o.Game.status, o.Game.steps)
+                       (Check.game
+                          (Game.config ~max_steps:200_000 ?stop ~memory layer
+                             threads sched)))
+                   (Explore.exhaustive_scheds ~tids:[ 1; 2; 3 ] ~depth:5)
+                   ~init:(Ok 0)
+                   (fun acc (s, _) ->
+                     Result.bind acc (fun n ->
+                         if failed s then
+                           Error
+                             (Format.asprintf "adversarial rwlock game failed: %a"
+                                Game.pp_status s)
+                         else Ok (n + 1)))));
+      };
+    ]
 
 let edge_fingerprints ?(lock = `Ticket) ?(seeds = 4) ?strategy
     ?(memory = Memory.default) () =
-  edge_keys ~lock ~seeds ~strategy ~memory
+  List.filter_map
+    (fun s -> Option.map (fun k -> s.name, edge_key ~memory s.name k) s.key)
+    (specs ~ctx:(Ctx.with_memory memory Ctx.default) ~lock ~seeds ~strategy
+       ~adversarial:false)
 
-(* Budgeted sub-checkers inside an edge body signal exhaustion by
-   exception; the edge loop catches it and reports the stack-level
-   [Exhausted] with that edge as the frontier. *)
-exception Ran_out_of_budget
-
-let value_or_raise = function
-  | Budget.Complete v -> v
-  | Budget.Exhausted _ -> raise Ran_out_of_budget
-
-let adversarial_edge_name =
-  "Lrwlock spin suite under adversarial schedules (livelock)"
+let report_of edges =
+  {
+    edges;
+    total_checks = List.fold_left (fun n e -> n + e.checks) 0 edges;
+    total_millis = List.fold_left (fun t e -> t +. e.millis) 0. edges;
+  }
 
 let verify_all_ctx ~ctx ?(lock = `Ticket) ?(seeds = 4) ?strategy
     ?(adversarial = false) () =
   Ctx.arm ctx @@ fun () ->
-  let jobs = Ctx.jobs_opt ctx in
-  let cache = ctx.Ctx.cache in
-  let memory = ctx.Ctx.memory in
-  let keys = edge_keys ~lock ~seeds ~strategy ~memory in
-  (* Per-edge memoization.  The cache probe and store sit OUTSIDE the
-     [timed] window of the edge body, so a cold run's per-edge counters
-     are unaffected by caching and a warm hit reproduces the stored
-     edge verbatim (timing aside: a hit's [millis] is the lookup time).
-     Only successful edges are stored — a failing edge aborts the stack
-     and always re-runs live.  Edges without a fingerprint (the
-     adversarial one: its verdict is a budget demonstration, not a
-     cacheable fact) always run live. *)
-  let edge_cached name (run : unit -> (edge, string) result) =
-    match cache, List.assoc_opt name keys with
-    | None, _ | _, None -> run ()
-    | Some c, Some key -> (
-      let found, lookup_ms =
-        Verify_clock.timed (fun () -> Cache.find c edge_kind key)
-      in
-      match found with
-      | Some e -> Ok { e with millis = lookup_ms }
-      | None -> (
-        match run () with
-        | Ok e ->
-          Cache.store c edge_kind key e;
-          Ok e
-        | Error _ as err -> err))
+  (* The cache probe and store sit outside the edge's [timed] window, so
+     a cold run's per-edge counters are unaffected by caching and a warm
+     hit reproduces the stored edge verbatim (timing aside: a hit's
+     [millis] is the lookup time). *)
+  let run_edge s =
+    let live () =
+      let r, millis, counters = s.run () in
+      Option.map
+        (Result.map (fun checks ->
+             { edge_name = s.name; kind = s.kind; checks; millis; counters }))
+        r
+    in
+    match s.key with
+    | None -> live ()
+    | Some fold ->
+      Check.memo ctx.Ctx.cache edge_kind
+        ~key:(lazy (edge_key ~memory:ctx.Ctx.memory s.name fold))
+        ~keep:(function Some (Ok e) -> Some e | Some (Error _) | None -> None)
+        ~hit:(fun e lookup_ms -> Some (Ok { e with millis = lookup_ms }))
+        live
   in
-  let scheds () = Sched.default_suite ~seeds in
-  (* With an explicit strategy, every game-driving edge derives its
-     scheduler suite from the edge's own game (DPOR must walk the game it
-     will replay); without one, the seeded default suite is used.  The
-     strategy-carrying context shares this call's token and cache, so the
-     walk stays under the same budget. *)
-  let scheds_for layer threads =
-    match strategy with
-    | None -> scheds ()
-    | Some s ->
-      Explore.scheds_of_strategy_ctx ~ctx:(Ctx.with_strategy s ctx) layer
-        threads
-  in
-  let cert_scheds_for (cert : Calculus.cert) client =
-    match strategy with
-    | None -> scheds ()
-    | Some s ->
-      let j = cert.Calculus.judgment in
-      let threads =
-        List.map
-          (fun i -> i, Prog.Module.link j.Calculus.impl (client i))
-          j.Calculus.focus
-      in
-      Explore.scheds_of_strategy_ctx
-        ~ctx:(Ctx.with_strategy s ctx)
-        j.Calculus.underlay threads
-  in
-  let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v in
-
-  (* Certificate memo shared by edges 4 and 5, outside the cache, so a
-     cache hit on edge 4 does not force edge 5 to rebuild the
-     certificate inside its own timed window. *)
-  let stack_cert_memo = ref None in
-  let build_stack_cert () =
-    match !stack_cert_memo with
-    | Some c -> Ok c
-    | None ->
-      Result.map
-        (fun c ->
-          stack_cert_memo := Some c;
-          c)
-        (Result.map_error (Format.asprintf "%a" Calculus.pp_error)
-           (Queue_shared.full_stack_certify ~memory ()))
-  in
-
-  let lock_name, certify_lock =
-    match lock with
-    | `Ticket ->
-      "ticket", fun () -> Ticket_lock.certify ~memory ~focus:[ 1; 2 ] ()
-    | `Mcs -> "mcs", fun () -> Mcs_lock.certify ~memory ~focus:[ 1; 2 ] ()
-  in
-  let lock_edge_name = Printf.sprintf "L0 |- M_%s : Llock (Fun)" lock_name in
-
-  (* The stack as data: each edge is a named thunk, run in order with the
-     budget polled between edges — the frontier of an [Exhausted] stack
-     is the first edge that did not complete. *)
-  let edge_thunks =
-    [
-      (* 1. multicore linking over the hardware machine of the mode *)
-      ( "Mx86 refines Lx86[D] (Thm 3.1)",
-        fun () ->
-          let link_result, ms, cs =
-            timed (fun () ->
-                let threads = [ 1, faa_round 1; 2, faa_round 2 ] in
-                let check sched =
-                  match memory with
-                  | Memory.Sc ->
-                    Ccal_machine.Mx86.check_multicore_linking_sched ~threads
-                      sched
-                  | Memory.Tso ->
-                    Ccal_machine.Tso.check_multicore_linking_sched ~threads
-                      sched
-                in
-                fold_linking
-                  (Parallel.scan ?jobs ~cut:Result.is_error check
-                     (scheds_for
-                        (Ccal_machine.Tso.machine_layer memory)
-                        threads)))
-          in
-          let* n = link_result in
-          Ok
-            { edge_name = "Mx86 refines Lx86[D] (Thm 3.1)"; kind = `Linking;
-              checks = n; millis = ms; counters = cs } );
-      (* 2. spinlock certificate *)
-      ( lock_edge_name,
-        fun () ->
-          let lock_cert, ms, cs = timed certify_lock in
-          let* lock_cert =
-            Result.map_error (Format.asprintf "%a" Calculus.pp_error) lock_cert
-          in
-          Ok
-            { edge_name = lock_edge_name; kind = `Cert lock_cert.Calculus.rule;
-              checks = Calculus.count_checks lock_cert; millis = ms;
-              counters = cs } );
-      (* 3. parallel composition of per-thread lock certificates *)
-      ( "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)",
-        fun () ->
-          let pcomp_result, ms, cs =
-            timed (fun () ->
-                let mk focus =
-                  match lock with
-                  | `Ticket -> Ticket_lock.certify ~memory ~focus ()
-                  | `Mcs -> Mcs_lock.certify ~memory ~focus ()
-                in
-                let* c1 =
-                  Result.map_error (Format.asprintf "%a" Calculus.pp_error)
-                    (mk [ 1 ])
-                in
-                let* c2 =
-                  Result.map_error (Format.asprintf "%a" Calculus.pp_error)
-                    (mk [ 2 ])
-                in
-                (* the compat corpus: logs from contention games *)
-                let layer =
-                  match lock with
-                  | `Ticket -> Ticket_lock.l0 ~memory ()
-                  | `Mcs -> Mcs_lock.l0 ~memory ()
-                in
-                let m =
-                  match lock with
-                  | `Ticket -> Ticket_lock.c_module ()
-                  | `Mcs -> Mcs_lock.c_module ()
-                in
-                let threads = [ 1, lock_client m 1; 2, lock_client m 2 ] in
-                let logs =
-                  List.map
-                    (fun o -> o.Game.log)
-                    (value_or_raise
-                       (Explore.run_all_ctx ~ctx layer threads
-                          (scheds_for layer threads)))
-                in
-                Result.map_error (Format.asprintf "%a" Calculus.pp_error)
-                  (Calculus.pcomp c1 c2 ~compat_logs:logs))
-          in
-          let* pcert = pcomp_result in
-          Ok
-            { edge_name = "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)";
-              kind = `Cert pcert.Calculus.rule;
-              checks = Calculus.count_checks pcert; millis = ms;
-              counters = cs } );
-      (* 4. shared queue over the lock: vertical composition *)
-      ( "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)",
-        fun () ->
-          let stack_cert, ms, cs = timed build_stack_cert in
-          let* stack_cert = stack_cert in
-          Ok
-            { edge_name = "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)";
-              kind = `Cert stack_cert.Calculus.rule;
-              checks = Calculus.count_checks stack_cert; millis = ms;
-              counters = cs } );
-      (* 5. queue soundness game.  The certificate comes from the memo
-         (or a rebuild, outside the timed window, when edge 4 was a cache
-         hit); the edge's timing and counters cover the soundness game
-         only, exactly as they always did. *)
-      ( "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)",
-        fun () ->
-          let* stack_cert = build_stack_cert () in
-          let sound, ms, cs =
-            timed (fun () ->
-                Result.map_error (Format.asprintf "%a" Refinement.pp_failure)
-                  (value_or_raise
-                     (Linearizability.refine_cert_ctx ~ctx stack_cert
-                        ~client:queue_client
-                        ~scheds:(cert_scheds_for stack_cert queue_client))))
-          in
-          let* sound_report = sound in
-          Ok
-            { edge_name = "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)";
-              kind = `Soundness;
-              checks = sound_report.Refinement.scheds_checked; millis = ms;
-              counters = cs } );
-      (* 6. multithreaded linking over the scheduler *)
-      ( "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)",
-        fun () ->
-          let mtl, ms, cs =
-            timed (fun () ->
-                let layer =
-                  Thread_sched.mt_layer mt_placement (Lock_intf.layer "Llock")
-                in
-                let threads = [ 1, mt_prog 1; 2, mt_prog 2; 3, mt_prog 3 ] in
-                fold_linking
-                  (Parallel.scan ?jobs ~cut:Result.is_error
-                     (Thread_sched.check_multithreaded_linking_sched
-                        ~placement:mt_placement ~layer ~threads)
-                     (scheds_for layer threads)))
-          in
-          let* n = mtl in
-          Ok
-            { edge_name = "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)"; kind = `Linking;
-              checks = n; millis = ms; counters = cs } );
-      (* 7. queuing lock *)
-      ( "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)",
-        fun () ->
-          let ql, ms, cs = timed (fun () -> Qlock.certify ()) in
-          let* ql =
-            Result.map_error (Format.asprintf "%a" Calculus.pp_error) ql
-          in
-          Ok
-            { edge_name = "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)";
-              kind = `Cert ql.Calculus.rule; checks = Calculus.count_checks ql;
-              millis = ms; counters = cs } );
-      (* 8. IPC channel over condition variables *)
-      ( "Lmt(spin+cv) |- M_ipc : Lipc (Fun)",
-        fun () ->
-          let ipc, ms, cs = timed (fun () -> Ipc.certify ()) in
-          let* ipc_cert =
-            Result.map_error (Format.asprintf "%a" Calculus.pp_error) ipc
-          in
-          Ok
-            { edge_name = "Lmt(spin+cv) |- M_ipc : Lipc (Fun)";
-              kind = `Cert ipc_cert.Calculus.rule;
-              checks = Calculus.count_checks ipc_cert; millis = ms;
-              counters = cs } );
-      (* 9. IPC producer/consumer soundness including the blocking paths *)
-      ( "[[producer|consumer]] refines Lipc (blocking paths)",
-        fun () ->
-          let ipc_sound, ms, cs =
-            timed (fun () ->
-                let* cert =
-                  Result.map_error (Format.asprintf "%a" Calculus.pp_error)
-                    (Ipc.certify ~placement:ipc_placement ~focus:[ 1; 2 ] ())
-                in
-                Result.map_error (Format.asprintf "%a" Refinement.pp_failure)
-                  (value_or_raise
-                     (Linearizability.refine_cert_ctx ~ctx cert
-                        ~client:ipc_client
-                        ~scheds:(cert_scheds_for cert ipc_client))))
-          in
-          let* r = ipc_sound in
-          Ok
-            { edge_name = "[[producer|consumer]] refines Lipc (blocking paths)";
-              kind = `Soundness; checks = r.Refinement.scheds_checked;
-              millis = ms; counters = cs } );
-      (* 10. reader-writer lock: a synchronization library added on top of
-         the existing lock layer without touching it *)
-      ( "Llock |- M_rwlock : Lrwlock (Fun, extension)",
-        fun () ->
-          let rw, ms, cs = timed (fun () -> Rwlock.certify ()) in
-          let* rw =
-            Result.map_error (Format.asprintf "%a" Calculus.pp_error) rw
-          in
-          Ok
-            { edge_name = "Llock |- M_rwlock : Lrwlock (Fun, extension)";
-              kind = `Cert rw.Calculus.rule; checks = Calculus.count_checks rw;
-              millis = ms; counters = cs } );
-    ]
-    @
-    if not adversarial then []
-    else
-      [
-        (* 11 (opt-in). the spinning rwlock implementation under the
-           trace-prefix suite: the spin retry loop phase-locks with
-           [of_trace]'s round-robin degradation (the writer's turn always
-           lands while a reader holds the underlay lock), so these games
-           livelock to the fuel limit — the workload that demonstrates
-           budgets turning a hang into an [Exhausted] report.  Stuckness
-           and deadlock still fail the edge; burning all fuel does not. *)
-        ( adversarial_edge_name,
-          fun () ->
-            let result, ms, cs =
-              timed (fun () ->
-                  let layer = Rwlock.underlay () in
-                  let m = Rwlock.c_module () in
-                  let spin p = Prog.Module.link m p in
-                  let reader =
-                    spin
-                      (Prog.seq
-                         (Prog.call "acq_r" [ vi 4 ])
-                         (Prog.call "rel_r" [ vi 4 ]))
-                  in
-                  let writer =
-                    spin
-                      (Prog.seq
-                         (Prog.call "acq_w" [ vi 4 ])
-                         (Prog.call "rel_w" [ vi 4 ]))
-                  in
-                  let threads = [ 1, reader; 2, reader; 3, writer ] in
-                  (* 3^5 schedules, each burning 200k moves of fuel: more
-                     than any budget the gates set.  Only each game's
-                     status and cost are kept — a fuel-bound log is
-                     megabytes, and the scan may finish hundreds. *)
-                  let scheds =
-                    Explore.exhaustive_scheds ~tids:[ 1; 2; 3 ] ~depth:5
-                  in
-                  let scan =
-                    Parallel.budgeted_scan ?jobs ~token:ctx.Ctx.token ~cost:snd
-                      ~interrupted:(fun (s, _) -> s = Game.Cancelled)
-                      ~cut:(fun _ -> false)
-                      (fun ~stop sched ->
-                        let o =
-                          Game.replay
-                            (Game.config ~max_steps:200_000 ?stop ~memory layer
-                               threads sched)
-                        in
-                        o.Game.status, o.Game.steps)
-                      scheds
-                  in
-                  if scan.Parallel.ran_out then raise Ran_out_of_budget;
-                  match
-                    List.find_opt
-                      (fun (s, _) ->
-                        match s with
-                        | Game.Stuck _ | Game.Deadlock _ -> true
-                        | Game.All_done | Game.Out_of_fuel | Game.Cancelled ->
-                          false)
-                      scan.Parallel.prefix
-                  with
-                  | Some (s, _) ->
-                    Error
-                      (Format.asprintf "adversarial rwlock game failed: %a"
-                         Game.pp_status s)
-                  | None -> Ok (List.length scan.Parallel.prefix))
-            in
-            let* n = result in
-            Ok
-              { edge_name = adversarial_edge_name; kind = `Adversarial;
-                checks = n; millis = ms; counters = cs } );
-      ]
-  in
-
-  let mk_report acc =
-    let edges = List.rev acc in
-    {
-      edges;
-      total_checks = List.fold_left (fun n e -> n + e.checks) 0 edges;
-      total_millis = List.fold_left (fun t e -> t +. e.millis) 0. edges;
-    }
-  in
-  let exhausted_at acc name =
-    Budget.Exhausted
-      {
-        spent = Budget.spent ctx.Ctx.token;
-        partial = Ok { completed = mk_report acc; next_edge = Some name };
-      }
-  in
-  let rec go acc = function
-    | [] -> Budget.Complete (Ok { completed = mk_report acc; next_edge = None })
-    | (name, thunk) :: rest ->
-      if Budget.poll ctx.Ctx.token then exhausted_at acc name
-      else (
-        match edge_cached name thunk with
-        | exception Ran_out_of_budget -> exhausted_at acc name
-        | Error e -> Budget.Complete (Error e)
-        | Ok edge -> go (edge :: acc) rest)
-  in
-  go [] edge_thunks
+  Budget.map
+    (Result.map (fun (edges, next_edge) -> { completed = report_of edges; next_edge }))
+    (Check.edges ~ctx
+       ~name:(fun s -> s.name)
+       run_edge
+       (specs ~ctx ~lock ~seeds ~strategy ~adversarial))

@@ -74,8 +74,10 @@ val verify_all_ctx :
     replays only non-redundant prefixes; otherwise the seeded default
     suite ([seeds], default 4) is used.  ([ctx.strategy] is {e not} used:
     the stack's historical default is the seeded suite, so the strategy
-    stays an explicit argument.)  [ctx.jobs] spreads every game-driving
-    edge's schedule scan over a {!Parallel} domain pool; the report
+    stays an explicit argument.)  Every game-driving edge scans its
+    schedules with {!Check.scan}, the linking theorems included (they
+    cost nothing against a step budget, but a deadline or a cancel stops
+    them between schedules); the report
     differs only in the timing fields — failures and check counts are
     identical for every jobs count.  The edges:
     {ol
@@ -95,14 +97,16 @@ val verify_all_ctx :
     edge is effectively a hang without a budget and the canonical
     demonstration that one turns it into an [Exhausted] report.
 
-    [ctx.budget] is polled between edges and inside every budgeted inner
-    checker; an [Exhausted] outcome carries the {!progress} frontier —
+    The edges run in a {!Check.edges} loop: [ctx.budget] is polled
+    between edges and inside every scan; an [Exhausted] outcome carries
+    the {!progress} frontier —
     the report over completed edges plus the name of the first edge that
     did not complete.  Completed edges are never re-verified on resume
     when [ctx.cache] is set (their verdicts were stored).
 
-    [ctx.cache] memoizes each edge's verdict on disk under its
-    {!edge_fingerprints} key: a hit pushes the stored edge (verdict,
+    [ctx.cache] memoizes each edge's verdict with {!Check.memo} under its
+    {!edge_fingerprints} key, computed only when a cache is attached: a
+    hit pushes the stored edge (verdict,
     [checks], [counters]) with the lookup time as [millis] and skips the
     edge's game entirely; a miss runs the edge and stores it on success.
     Failing edges are never stored, so failures always reproduce live.

@@ -292,6 +292,45 @@ let test_dpor_walk_cached () =
       check_int "outcomes replayed" (List.length r1.V.Dpor.outcomes)
         (List.length r2.V.Dpor.outcomes))
 
+(* The walk's entries moved from kind "engine" to "engine.2" when their
+   payload lost the scheduler tag: a file the earlier kind wrote for the
+   same walk, at the earlier shape, is never read back. *)
+let test_engine_entry_of_earlier_shape_ignored () =
+  with_cache (fun c ->
+      let layer = Ticket_lock.l0 () in
+      let explore () =
+        V.Budget.value
+          (V.Dpor.explore_ctx ~ctx:(V.Ctx.make ~cache:c ()) ~depth:4 layer
+             (lock_threads ()))
+      in
+      let r1 = explore () in
+      let dir = V.Cache.dir c in
+      let prefix = "engine.2-" in
+      let walk_file =
+        List.find
+          (String.starts_with ~prefix)
+          (Array.to_list (Sys.readdir dir))
+      in
+      let hex_and_suffix =
+        String.sub walk_file (String.length prefix)
+          (String.length walk_file - String.length prefix)
+      in
+      Sys.remove (Filename.concat dir walk_file);
+      let oc = open_out_bin (Filename.concat dir ("engine-" ^ hex_and_suffix)) in
+      output_string oc
+        (Printf.sprintf "CCAL-CACHE:%d:%d\n" V.Cache.format_version
+           Fingerprint.version
+        ^ Marshal.to_string ("dpor", [ [ 9; 9; 9 ] ], (0, 0)) []);
+      close_out oc;
+      let before = V.Cache.session_stats c in
+      let r2 = explore () in
+      let after = V.Cache.session_stats c in
+      check_int "the walk missed" 1 (after.misses - before.misses);
+      check_int "nothing was read back" 0 (after.hits - before.hits);
+      check_bool "prefixes walked live" true (r1.V.Dpor.prefixes = r2.V.Dpor.prefixes);
+      check_bool "earlier file untouched" true
+        (Sys.file_exists (Filename.concat dir ("engine-" ^ hex_and_suffix))))
+
 let test_run_all_cached_only_when_all_done () =
   with_cache (fun c ->
       let layer = Ticket_lock.l0 () in
@@ -470,6 +509,8 @@ let suite =
     tc "racing verdicts never stored" test_races_failure_never_stored;
     tc "race-free verdict cached" test_races_clean_verdict_cached;
     tc "DPOR walk cached, replay live" test_dpor_walk_cached;
+    tc "DPOR walk entry of the earlier engine shape is not read back"
+      test_engine_entry_of_earlier_shape_ignored;
     tc "run_all cached only when all done" test_run_all_cached_only_when_all_done;
     tc "refinement report cached with log hash" test_refine_cached;
     tc "edge keys deterministic" test_edge_keys_deterministic;

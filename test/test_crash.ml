@@ -392,6 +392,27 @@ let test_certifier_budget_exhaustion () =
     Alcotest.failf "partial failed: %a" Crash.pp_failure f
   | Budget.Complete _ -> Alcotest.fail "expected exhaustion"
 
+(* A step budget that runs out inside durable-kv: the partial report
+   lists only the edges that completed (wal, with its full counts), never
+   the half-scanned one, at every jobs count. *)
+let test_certifier_exhausted_partial_is_completed_edges () =
+  List.iter
+    (fun jobs ->
+      let ctx = Ctx.make ~jobs ~budget:(Budget.make ~steps:200 ()) () in
+      match Crash.check_ctx ~ctx (edges ()) with
+      | Budget.Exhausted { partial = Ok r; _ } -> (
+        match r.Crash.edges with
+        | [ e ] ->
+          check_string "only the completed edge" "wal" e.Crash.edge_name;
+          check_int "wal schedules" 4 e.Crash.schedules;
+          check_int "wal crash points" 28 e.Crash.crash_points;
+          check_int "wal recoveries" 90 e.Crash.recoveries
+        | es -> Alcotest.failf "jobs=%d: %d edges in the partial" jobs (List.length es))
+      | Budget.Exhausted { partial = Error f; _ } ->
+        Alcotest.failf "partial failed: %a" Crash.pp_failure f
+      | Budget.Complete _ -> Alcotest.failf "jobs=%d: expected exhaustion" jobs)
+    [ 1; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* the QCheck property: recovery after a crash at every enumerated     *)
 (* point is idempotent and loses nothing past the last acked sync      *)
@@ -507,5 +528,7 @@ let suite =
       test_certifier_cache_round_trip;
     tc "certifier: budget exhaustion yields a partial report"
       test_certifier_budget_exhaustion;
+    tc "certifier: an exhausted partial lists completed edges only"
+      test_certifier_exhausted_partial_is_completed_edges;
     prop_recovery_idempotent_and_lossless;
   ]

@@ -25,4 +25,5 @@ let () =
       "memory-model-litmus (S29)", Test_litmus.suite;
       "crash-safety (S30)", Test_crash.suite;
       "incremental-replay", Test_replay.suite;
+      "check-kernel (S33)", Test_check.suite;
     ]
