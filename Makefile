@@ -1,4 +1,4 @@
-.PHONY: all build test check check-test-count check-parallel check-cache check-robust check-speedup check-kv check-tso check-crash check-optimal examples explore bench clean
+.PHONY: all build test check check-test-count check-parallel check-cache check-robust check-speedup check-kv check-tso check-crash check-optimal check-events examples explore bench clean
 
 all: build
 
@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 507
+TEST_COUNT_FLOOR := 514
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -29,7 +29,7 @@ check-test-count:
 # Runs the full suite (with the test-count floor), the DPOR-vs-exhaustive
 # agreement check on the headline game, and the certificate-cache and
 # robustness gates.
-check: build check-test-count check-cache check-robust check-speedup check-kv check-tso check-crash check-optimal
+check: build check-test-count check-cache check-robust check-speedup check-kv check-tso check-crash check-optimal check-events
 	dune exec bin/ccal_cli.exe -- explore lock --threads 3 --depth 5
 
 # The speedup gate (DESIGN.md S24): the perf-gate alcotest section runs
@@ -212,6 +212,23 @@ check-optimal: build
 	grep -q '1 hits' _build/opt-j4-warm.txt || { \
 	  echo "check-optimal: REGRESSION - warm run missed the engine suite cache"; exit 1; }; \
 	echo "check-optimal: OK (kv-sym verdict identical across jobs 1/4, cache cold/warm; warm run hit the cache)"
+
+# The events-mode gate (DESIGN.md S23): the ticket game at 4 threads,
+# depth 6, under object-based independence, where every leaf log goes
+# through the canonical form.  DPOR and the exhaustive oracle must each
+# count 3145 distinct traces and agree on the log sets.  CI runs `check`
+# on both jobs legs, so this pins the verdict at CCAL_JOBS 1 and 4.
+check-events: build
+	@out=$$($(CCAL_BIN) explore ticket --threads 4 --depth 6 --mode events); status=$$?; \
+	if [ $$status -ne 0 ]; then \
+	  echo "check-events: REGRESSION - events-mode ticket 4t depth 6 exited $$status"; exit 1; fi; \
+	echo "$$out" | grep -q "log sets agree" || { \
+	  echo "check-events: REGRESSION - DPOR and exhaustive log sets differ"; exit 1; }; \
+	echo "$$out" | grep -q "dpor:6: .*; 3145 distinct logs$$" || { \
+	  echo "check-events: REGRESSION - dpor side does not count 3145 distinct logs"; exit 1; }; \
+	echo "$$out" | grep -q "exhaustive: .*; 3145 distinct logs$$" || { \
+	  echo "check-events: REGRESSION - exhaustive side does not count 3145 distinct logs"; exit 1; }; \
+	echo "check-events: OK (ticket 4t depth 6:$$(echo "$$out" | grep 'dpor:6:'))"
 
 # Build and run every example as a smoke test (the CI examples step).
 examples: build

@@ -98,13 +98,18 @@ let start budget =
     tripped = Atomic.make None;
   }
 
-(* The default token on [Ctx.default]: no limits, polling it is cheap. *)
+(* The default token on [Ctx.default] and of the unbudgeted
+   [Parallel.scan]: no limits, polling it is cheap.  Every unbudgeted run
+   in the process may hold it, so nothing writes it: [settle] skips it and
+   [cancel] rejects it. *)
 let no_token = start unlimited
 
 let is_unlimited_token tk =
   is_unlimited tk.budget && not (Atomic.get tk.cancelled)
 
 let cancel tk =
+  if tk == no_token then
+    invalid_arg "Budget.cancel: the shared unlimited token (start a token to cancel)";
   if not (Atomic.get tk.cancelled) then begin
     Atomic.set tk.cancelled true;
     Probe.incr budget_cancellations
@@ -166,8 +171,9 @@ let poll tk =
 (* [settle tk n] overwrites the racy shared counter with the
    deterministic step total computed by the budgeted scan's merge pass,
    so both [spent] and the next scan's entry allowance are
-   jobs-identical for step budgets. *)
-let settle tk n = Atomic.set tk.used n
+   jobs-identical for step budgets.  The shared [no_token] is left as
+   it is. *)
+let settle tk n = if tk != no_token then Atomic.set tk.used n
 
 (* A budgeted scan truncated its prefix: if no wall-clock dimension
    already tripped (or trips right now), the truncation came from the

@@ -54,11 +54,15 @@ val start : t -> token
 
 val no_token : token
 (** A shared unlimited token — the default on [Ctx.default]; polling it
-    is two atomic reads and it never trips. *)
+    is two atomic reads and it never trips.  No run writes it:
+    {!settle} leaves it as it is and {!cancel} rejects it, so its
+    {!steps_used} stays 0. *)
 
 val cancel : token -> unit
 (** Explicit cooperative cancellation; every poller sees it at its next
-    check.  Idempotent. *)
+    check.  Idempotent.  Raises [Invalid_argument] on {!no_token}, which
+    every unbudgeted run in the process may share: cancel a token of
+    your own ({!start}, or [Ctx.make]'s). *)
 
 val poll : token -> bool
 (** True once any budget dimension is exhausted (or {!cancel} was
@@ -82,7 +86,7 @@ val steps_remaining : token -> int
 val settle : token -> int -> unit
 (** Overwrite the shared step counter with the deterministic total
     computed by a budgeted scan's merge pass, so {!spent} and the next
-    scan's entry allowance are jobs-identical. *)
+    scan's entry allowance are jobs-identical.  A no-op on {!no_token}. *)
 
 val note_ran_out : token -> unit
 (** Called by a budgeted scan when it truncates its prefix: records

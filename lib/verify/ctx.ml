@@ -65,7 +65,7 @@ let make ?(jobs = 1) ?cache ?(strategy = Engine.default)
     strategy = Engine.checked strategy;
     memory;
     budget;
-    token = (if Budget.is_unlimited budget then Budget.no_token else Budget.start budget);
+    token = Budget.start budget;
     faults;
     stats;
     trace;

@@ -33,7 +33,8 @@ type t = {
 
 val default : t
 (** Sequential, uncached, {!Engine.default} ([dpor:4]), unlimited
-    budget, no faults. *)
+    budget, no faults.  Its token is the shared {!Budget.no_token},
+    which cannot be cancelled. *)
 
 val make :
   ?jobs:int ->
@@ -46,8 +47,9 @@ val make :
   ?trace:string ->
   unit ->
   t
-(** Build a context in one go; a non-unlimited [budget] starts its token
-    immediately (the deadline epoch is this call).  Raises
+(** Build a context in one go.  The context gets a token of its own,
+    started immediately (the deadline epoch is this call), so cancelling
+    it reaches no other context.  Raises
     [Invalid_argument] on an invalid [strategy] descriptor (flag on an
     engine that does not take it, non-positive depth) — the same named
     errors {!Engine.validate} reports. *)

@@ -18,59 +18,75 @@ type result = {
   stats : stats;
 }
 
-let default_reads = [ "get_n"; "aload"; "read" ]
-
-(* The object an event touches: by convention every shared primitive of the
+(* The independence footprint of an event: the object it touches and
+   whether it only reads it.  By convention every shared primitive of the
    concrete objects takes the object identifier (lock, cell, location,
-   channel…) as its first integer argument.  Events without one (e.g.
-   [switch]) are conservatively dependent on everything. *)
-let obj (e : Event.t) =
-  match e.args with Value.Vint b :: _ -> Some b | _ -> None
+   channel…) as its first integer argument, and the primitives tagged
+   [read_tags] only read it.  Events without an object (e.g. [switch])
+   are [Global]: conservatively dependent on everything. *)
+type footprint = Global | Obj of { id : int; read : bool }
+
+let read_tags = [ "get_n"; "aload"; "read" ]
+
+let footprint (e : Event.t) =
+  match e.args with
+  | Value.Vint id :: _ ->
+    Obj { id; read = List.exists (String.equal e.tag) read_tags }
+  | _ -> Global
+
+(* Events of different threads commute iff their footprints do. *)
+let independent (src1 : Event.tid) f1 (src2 : Event.tid) f2 =
+  src1 <> src2
+  &&
+  match f1, f2 with
+  | Obj a, Obj b -> a.id <> b.id || (a.read && b.read)
+  | Global, _ | _, Global -> false
 
 let independent_events (e1 : Event.t) (e2 : Event.t) =
-  e1.src <> e2.src
-  &&
-  match obj e1, obj e2 with
-  | Some a, Some b when a <> b -> true
-  | Some _, Some _ ->
-    List.mem e1.tag default_reads && List.mem e2.tag default_reads
-  | _ -> false
+  independent e1.src (footprint e1) e2.src (footprint e2)
 
 (* Canonical representative of a Mazurkiewicz trace: repeatedly emit the
-   [Event.compare]-least event among those with no earlier dependent event.
-   Two logs are equivalent up to commuting independent events iff their
-   canonical forms are equal. *)
-let canonical_events indep events =
-  let rec minimal_candidates rev_prefix = function
-    | [] -> []
-    | e :: rest ->
-      let minimal = List.for_all (fun p -> indep p e) rev_prefix in
-      let here =
-        if minimal then [ e, List.rev_append rev_prefix rest ] else []
-      in
-      here @ minimal_candidates (e :: rev_prefix) rest
-  in
-  let rec build acc evs =
-    match evs with
-    | [] -> List.rev acc
-    | first :: _ -> (
-      match minimal_candidates [] evs with
-      | [] -> List.rev_append acc [ first ] (* unreachable: the head is minimal *)
-      | c :: cs ->
-        let e, rest =
-          List.fold_left
-            (fun (be, br) (e, r) ->
-              if Event.compare e be < 0 then e, r else be, br)
-            c cs
-        in
-        build (e :: acc) rest)
-  in
-  build [] events
+   [Event.compare]-least event with no earlier dependent event left, ties
+   going to the earliest position.  Two logs are equivalent up to
+   commuting independent events iff their canonical forms are equal.
 
+   Kahn's algorithm on the dependence graph, with each event's footprint
+   computed once: [waiting.(j)] counts the earlier dependent events of [j]
+   not yet emitted, so [j] is ready at 0, and [later.(i)] lists the later
+   dependent events that emitting [i] releases.  O(n²) footprint compares
+   build the graph; each emission scans the n positions. *)
 let canonical_log log =
-  Log.append_all
-    (canonical_events independent_events (Log.chronological log))
-    Log.empty
+  let evs = Array.of_list (Log.chronological log) in
+  let n = Array.length evs in
+  let src = Array.map (fun (e : Event.t) -> e.src) evs in
+  let fp = Array.map footprint evs in
+  let waiting = Array.make n 0 in
+  let later = Array.make n [] in
+  for j = n - 1 downto 1 do
+    for i = 0 to j - 1 do
+      if not (independent src.(i) fp.(i) src.(j) fp.(j)) then begin
+        waiting.(j) <- waiting.(j) + 1;
+        later.(i) <- j :: later.(i)
+      end
+    done
+  done;
+  let emitted = Array.make n false in
+  let canon = ref Log.empty in
+  for _ = 1 to n do
+    let next = ref (-1) in
+    for i = 0 to n - 1 do
+      if
+        (not emitted.(i))
+        && waiting.(i) = 0
+        && (!next < 0 || Event.compare evs.(i) evs.(!next) < 0)
+      then next := i
+    done;
+    let i = !next in
+    emitted.(i) <- true;
+    List.iter (fun j -> waiting.(j) <- waiting.(j) - 1) later.(i);
+    canon := Log.append evs.(i) !canon
+  done;
+  !canon
 
 (* One enabled move of one thread, as classified by the DFS. *)
 type move =
@@ -140,9 +156,9 @@ let no_prunes () = { sleep_prunes = 0; sym_prunes = 0 }
 (* Cache key of a walk: the engine descriptor plus the game identity and
    every knob that shapes the walk.  The walk has no failure mode (a
    stuck leaf is just a short prefix), so unlike verdicts its result is
-   stored unconditionally; the replay phase always runs live.
-   [default_reads] is still hashed so keys stay those of earlier
-   releases. *)
+   stored unconditionally; the replay phase always runs live.  The read
+   tags of {!footprint} are hashed because they define the
+   [Commuting_events] relation the walk's sleep sets follow. *)
 let suite_key ?private_fuel ~engine ~independence ~memory ~depth layer threads =
   let st = Fingerprint.string Fingerprint.empty "engine-suite" in
   let st =
@@ -155,7 +171,7 @@ let suite_key ?private_fuel ~engine ~independence ~memory ~depth layer threads =
   let st =
     Fingerprint.int st (match independence with Exact -> 1 | Commuting_events -> 2)
   in
-  let st = Fingerprint.list Fingerprint.string st default_reads in
+  let st = Fingerprint.list Fingerprint.string st read_tags in
   Fingerprint.finish (Fingerprint.option Fingerprint.int st private_fuel)
 
 (* Sleep-set DFS over the enabled moves of the whole-machine game, bounded
@@ -439,7 +455,8 @@ let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?engine
       let representative =
         match independence with
         | Exact -> logs
-        | Commuting_events -> List.map canonical_log logs
+        | Commuting_events ->
+          Probe.span "dpor.canonical" (fun () -> List.map canonical_log logs)
       in
       let schedules_considered = pow (List.length threads) depth in
       let distinct_logs =

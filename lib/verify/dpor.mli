@@ -58,15 +58,21 @@ type result = {
 }
 
 val independent_events : Event.t -> Event.t -> bool
-(** The object-based independence relation on log events.  Events of
+(** The object-based independence relation on log events, derived from
+    each event's footprint (the object it touches, or none).  Events of
     different threads commute when they touch different objects (first
     integer argument), or when both are non-conflicting reads: [get_n]
-    (ticket lock), [aload] (atomic cells), [read] (counters). *)
+    (ticket lock), [aload] (atomic cells), [read] (counters).  An event
+    without an integer first argument commutes with nothing.  The walk's
+    sleep sets under {!Commuting_events} use the same relation. *)
 
 val canonical_log : Log.t -> Log.t
-(** Lexicographically-least representative of the log's Mazurkiewicz
-    trace: two logs are equal up to commuting independent events iff
-    their canonical forms are equal. *)
+(** Representative of the log's Mazurkiewicz trace: repeatedly the
+    [Event.compare]-least event none of whose earlier dependent events
+    is left, ties going to the earliest position.  Two logs are equal up
+    to commuting independent events iff their canonical forms are equal.
+    Costs O(n²) footprint compares and O(n²) scans for n events, plus
+    one [Event.compare] per ready event per emission. *)
 
 val sched_of_prefix : tag:string -> Event.tid list -> Sched.t
 (** A trace scheduler named [tag:[t0,t1,…]].  The names are

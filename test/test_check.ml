@@ -24,14 +24,12 @@ let scan_under ~jobs ~steps =
     | None -> V.Ctx.make ~jobs ()
     | Some s -> V.Ctx.make ~jobs ~budget:(Budget.make ~steps:s ()) ()
   in
-  (* the unlimited token is shared: read what this scan settled *)
-  let before = Budget.steps_used ctx.V.Ctx.token in
   let r =
     Check.scan ~ctx ~cost:Fun.id game costs ~init:[] (fun acc x -> x :: acc)
   in
   ( Budget.is_complete r,
     List.rev (Budget.value r),
-    Budget.steps_used ctx.V.Ctx.token - before )
+    Budget.steps_used ctx.V.Ctx.token )
 
 let test_scan_jobs_identical () =
   List.iter
@@ -76,6 +74,30 @@ let test_scan_cut_is_lowest () =
           (List.rev rev = List.init 18 Fun.id)
       | Budget.Exhausted _ -> Alcotest.fail "unbudgeted scan exhausted")
     [ 1; 2; 4 ]
+
+(* Unbudgeted contexts share no token state: cancelling one context's
+   token stops that context only, and no scan writes the shared
+   [Budget.no_token] of [Ctx.default]. *)
+let test_cancel_reaches_one_context () =
+  let scan ctx = Check.scan ~ctx ~cost:Fun.id game costs ~init:0 ( + ) in
+  let cancelled = V.Ctx.make () in
+  Budget.cancel cancelled.V.Ctx.token;
+  check_bool "the cancelled context is exhausted" false
+    (Budget.is_complete (scan cancelled));
+  List.iter
+    (fun jobs ->
+      let at what = Printf.sprintf "jobs=%d: %s" jobs what in
+      check_bool (at "Ctx.default scan complete") true
+        (Budget.is_complete (scan (V.Ctx.with_jobs jobs V.Ctx.default)));
+      check_bool (at "a second unbudgeted context complete") true
+        (Budget.is_complete (scan (V.Ctx.make ~jobs ()))))
+    [ 1; 2 ];
+  check_int "Ctx.default's token is never settled" 0
+    (Budget.steps_used V.Ctx.default.V.Ctx.token);
+  check_bool "the shared token cannot be cancelled" true
+    (match Budget.cancel Budget.no_token with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 (* ---- memo ---- *)
 
@@ -191,6 +213,8 @@ let suite =
     tc "scan: prefix, settled steps and exhaustion agree on jobs {1,2,4}"
       test_scan_jobs_identical;
     tc "scan: the fold ends at the lowest-indexed cut" test_scan_cut_is_lowest;
+    tc "scan: cancelling one context's token leaves Ctx.default complete"
+      test_cancel_reaches_one_context;
     tc "memo: without a cache the key is never forced"
       test_memo_key_lazy_without_cache;
     tc "memo: failures are never stored" test_memo_stores_successes_only;

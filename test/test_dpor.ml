@@ -590,6 +590,161 @@ let test_pushpull_race_detected_end_to_end () =
   | V.Races.Race_free _ -> Alcotest.fail "racing pulls reported race-free"
   | V.Races.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
 
+(* ---- the canonicalizer against its specification ----
+   [greedy_canonical] is the list-based definition of the canonical form,
+   kept as the reference: repeatedly remove, from the remaining events in
+   log order, the [Event.compare]-least one that every earlier remaining
+   event is independent of (the first such on ties).  [canonical_log]
+   must agree with it on every log. *)
+
+let greedy_canonical log =
+  let indep = V.Dpor.independent_events in
+  let rec minimal_candidates rev_prefix = function
+    | [] -> []
+    | e :: rest ->
+      let here =
+        if List.for_all (fun p -> indep p e) rev_prefix then
+          [ e, List.rev_append rev_prefix rest ]
+        else []
+      in
+      here @ minimal_candidates (e :: rev_prefix) rest
+  in
+  let rec build acc = function
+    | [] -> List.rev acc
+    | evs -> (
+      match minimal_candidates [] evs with
+      | [] -> Alcotest.fail "no minimal event: the head always is"
+      | c :: cs ->
+        let e, rest =
+          List.fold_left
+            (fun (be, br) (e, r) -> if Event.compare e be < 0 then e, r else be, br)
+            c cs
+        in
+        build (e :: acc) rest)
+  in
+  log_of (build [] (Log.chronological log))
+
+(* Every leaf log of the events-mode DPOR walk and of the exhaustive
+   oracle, pseudo-threads (flushers, crash) included. *)
+let game_logs ?(memory = Memory.Sc) layer threads depth =
+  let ctx = V.Ctx.make ~memory () in
+  let dpor =
+    V.Budget.value
+      (V.Dpor.explore_ctx ~ctx ~independence:V.Dpor.Commuting_events ~depth
+         layer threads)
+  in
+  let tids = List.map fst (threads @ Game.pseudo_threads ~memory layer threads) in
+  let exhaustive =
+    V.Budget.value
+      (V.Explore.run_all_ctx ~ctx layer threads
+         (V.Explore.exhaustive_scheds ~tids ~depth))
+  in
+  List.map (fun (o : Game.outcome) -> o.Game.log) dpor.V.Dpor.outcomes
+  @ V.Explore.all_logs exhaustive
+
+let check_canonical_matches_greedy name logs =
+  List.iteri
+    (fun k l ->
+      let canon = V.Dpor.canonical_log l and greedy = greedy_canonical l in
+      if not (Log.equal canon greedy) then
+        Alcotest.failf "%s: log %d: canonical_log %s <> greedy %s" name k
+          (Log.to_string canon) (Log.to_string greedy))
+    logs;
+  check_bool (name ^ ": corpus not empty") true (logs <> [])
+
+let test_canonical_ticket () =
+  check_canonical_matches_greedy "ticket 3t d5"
+    (game_logs (Ticket_lock.l0 ()) (ticket_threads 3) 5)
+
+let wal_threads n =
+  let m = Ccal_disk.Wal.module_ () in
+  List.init n (fun k -> k + 1, Prog.Module.link m (Ccal_disk.Wal.client (k + 1)))
+
+let test_canonical_wal () =
+  check_canonical_matches_greedy "wal 2t d6"
+    (game_logs (Ccal_disk.Wal.underlay ~crashes:true ()) (wal_threads 2) 6)
+
+let test_canonical_litmus_sb_tso () =
+  match Ccal_machine.Litmus.find "SB" with
+  | None -> Alcotest.fail "litmus SB missing from the corpus"
+  | Some t ->
+    check_canonical_matches_greedy "litmus SB tso d6"
+      (game_logs ~memory:Memory.Tso
+         (Ccal_machine.Tso.machine_layer Memory.Tso)
+         t.Ccal_machine.Litmus.threads 6)
+
+(* Seeded random event lists over few threads and objects: read and
+   write tags on a first-int object, and events with no object (no
+   arguments, a non-int first argument, a switch). *)
+let random_logs =
+  lazy
+    (let rs = Random.State.make [| 0x5eed; 23 |] in
+     let pick a = a.(Random.State.int rs (Array.length a)) in
+     let event () =
+       let src = Random.State.int rs 4 in
+       let obj = Value.int (Random.State.int rs 3) in
+       let ret = if Random.State.bool rs then Value.unit else vi (Random.State.int rs 3) in
+       let tag, args =
+         pick
+           [|
+             "get_n", [ obj ]; "aload", [ obj ]; "read", [ obj ];
+             "FAI_t", [ obj ]; "astore", [ obj; vi 1 ]; "rel", [ obj; vi src ];
+             "yield", []; "pull", [ Value.bool true; obj ]; Event.switch_tag, [];
+           |]
+       in
+       ev ~args ~ret src tag
+     in
+     List.init 600 (fun _ -> log_of (List.init (Random.State.int rs 24) (fun _ -> event ()))))
+
+let test_canonical_random () =
+  check_canonical_matches_greedy "seeded random corpus" (Lazy.force random_logs)
+
+let test_canonical_idempotent () =
+  List.iter
+    (fun l ->
+      let c = V.Dpor.canonical_log l in
+      Alcotest.check log_testable "canonical form of a canonical form" c
+        (V.Dpor.canonical_log c))
+    (Lazy.force random_logs
+    @ game_logs (Ticket_lock.l0 ()) (ticket_threads 3) 4)
+
+(* Swapping two adjacent independent events stays inside the trace, so
+   the canonical form may not move; the corpus must contain such pairs
+   for the check to mean anything. *)
+let test_canonical_swap_invariant () =
+  let swaps = ref 0 in
+  List.iter
+    (fun l ->
+      let evs = Array.of_list (Log.chronological l) in
+      let c = V.Dpor.canonical_log l in
+      for i = 0 to Array.length evs - 2 do
+        if V.Dpor.independent_events evs.(i) evs.(i + 1) then begin
+          incr swaps;
+          let swapped = Array.copy evs in
+          swapped.(i) <- evs.(i + 1);
+          swapped.(i + 1) <- evs.(i);
+          Alcotest.check log_testable "swap keeps the canonical form" c
+            (V.Dpor.canonical_log (log_of (Array.to_list swapped)))
+        end
+      done)
+    (Lazy.force random_logs);
+  check_bool "the corpus has independent adjacent pairs" true (!swaps > 100)
+
+let canonical_suite =
+  [
+    tc "canonical_log = greedy reference: ticket 3t d5, DPOR + exhaustive"
+      test_canonical_ticket;
+    tc "canonical_log = greedy reference: wal 2t d6, crash thread included"
+      test_canonical_wal;
+    tc "canonical_log = greedy reference: litmus SB under TSO, d6"
+      test_canonical_litmus_sb_tso;
+    tc "canonical_log = greedy reference: seeded random event lists"
+      test_canonical_random;
+    tc "canonical_log is idempotent" test_canonical_idempotent;
+    tc "swapping adjacent independent events keeps the canonical form"
+      test_canonical_swap_invariant;
+  ]
+
 let suite =
   [
     tc "equiv: ticket L0, 2 threads, depth 4" test_ticket_2t;

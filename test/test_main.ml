@@ -15,6 +15,7 @@ let () =
       "api-surface-and-corner-cases", Test_surface.suite;
       "liveness-and-deadlock", Test_liveness.suite;
       "dpor-exploration (S23)", Test_dpor.suite;
+      "dpor-canonical-form (S23)", Test_dpor.canonical_suite;
       "parallel-checking (S24)", Test_parallel.suite;
       "perf-gate (S24)", Test_perf_gate.suite;
       "cross-cutting-invariants", Test_invariants.suite;
